@@ -228,14 +228,17 @@ let tick t =
                 Admission.requeue t.queue inst
               end);
           (* Replace the dead worker unless the drain is already over —
-             a worker spawned after quiescence would exit immediately. *)
+             a worker spawned after quiescence would exit immediately.
+             The ring entry goes first: once spawned, the new worker may
+             start the requeued instance at once, and its [Started] must
+             not overtake the [Respawned] that caused it. *)
           if not (Admission.quiescent t.queue) then begin
-            Respawn.respawn h;
-            t.restart_count <- t.restart_count + 1;
-            w.respawns <- w.respawns + 1;
             Flight.record t.flight
               (Flight.Respawned
                  { worker = w.idx; ticket = Option.map (fun i -> i.ticket) victim });
+            Respawn.respawn h;
+            t.restart_count <- t.restart_count + 1;
+            w.respawns <- w.respawns + 1;
             incr restarted
           end))
     t.workers;
