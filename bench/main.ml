@@ -246,7 +246,7 @@ let verify_workload ~jobs =
         r.Ftc_verify.Verify.explored_states, dt )
 
 (* Fast-engine calibration for BENCH_perf.json: one ft-leader-election
-   trial on the struct-of-arrays engine ({!Ftc_sim.Fast_engine}) at a
+   trial on the hand-written codec port ({!Ftc_sim.Engine.Make_codec}) at a
    pinned large n, recording ns per node-round — the per-unit cost the
    flat-array design is supposed to hold roughly constant as n grows
    (the F1/F2 extended decades up to n = 10^6 depend on it). The budget

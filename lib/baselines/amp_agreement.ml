@@ -76,6 +76,7 @@ end) : Protocol.S with type msg = msg = struct
     | Some _ | None -> ());
     (st, !actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

@@ -40,6 +40,7 @@ end) : Protocol.S with type msg = msg = struct
       st.decision <- Decision.Agreed st.value;
     (st, actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

@@ -38,6 +38,7 @@ module P : Protocol.S with type msg = msg = struct
       st.decision <- Decision.Agreed st.value;
     (st, actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

@@ -78,6 +78,7 @@ module P : Protocol.S with type msg = msg = struct
         (match st.final with Some v -> Decision.Agreed v | None -> Decision.Agreed st.agg);
     (st, !actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

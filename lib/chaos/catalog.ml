@@ -40,7 +40,7 @@ let all =
     {
       name = "ft-agreement";
       make = (fun () -> Ftc_core.Agreement.make params);
-      fast = Some (fun () -> Ftc_core.Agreement_fast.make params);
+      fast = None;
       kind = Agreement;
       explicit = false;
       inputs = Bits;
@@ -50,7 +50,7 @@ let all =
     {
       name = "ft-agreement-explicit";
       make = (fun () -> Ftc_core.Agreement.make ~explicit:true params);
-      fast = Some (fun () -> Ftc_core.Agreement_fast.make ~explicit:true params);
+      fast = None;
       kind = Agreement;
       explicit = true;
       inputs = Bits;
@@ -90,7 +90,7 @@ let all =
     {
       name = "push-gossip";
       make = (fun () -> Ftc_baselines.Gossip.make ());
-      fast = Some (fun () -> Ftc_baselines.Gossip_fast.make ());
+      fast = None;
       kind = Agreement;
       explicit = true;
       inputs = Bits;
@@ -149,6 +149,7 @@ module Faulty_probe = struct
     if round = 0 then ((), [ { Ftc_sim.Protocol.dest = Ftc_sim.Protocol.Node 0; payload = () } ])
     else ((), [])
 
+  let idle = Ftc_sim.Protocol.never_idle
   let decide () = Ftc_sim.Decision.Agreed 0
 
   let observe () =
@@ -200,6 +201,7 @@ module Crash_probe = struct
         ({ st with tally = Some tally; min_seen }, [])
     | _ -> (st, [])
 
+  let idle = Ftc_sim.Protocol.never_idle
   let decide st =
     match st.tally with
     | None -> Ftc_sim.Decision.Undecided

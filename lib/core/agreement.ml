@@ -177,6 +177,13 @@ end) : Protocol.S with type msg = msg = struct
     end;
     (st, List.rev !actions)
 
+  (* Only candidates act on their own (registration, the decide-1
+     fallback, the explicit broadcast); everyone else reacts to
+     deliveries within the step they arrive in. A non-candidate skipped
+     at [implicit_end] misses only setting [announced], which nothing
+     reads for it. *)
+  let idle _ st ~round:_ = not st.is_candidate
+
   let decide st = st.decision
 
   let observe st =

@@ -117,6 +117,7 @@ end) : Protocol.S with type msg = msg = struct
         end);
     (st, List.rev !actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

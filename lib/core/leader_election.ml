@@ -391,6 +391,17 @@ end) : Protocol.S with type msg = msg = struct
     end;
     (st, List.rev !actions)
 
+  (* Bystanders only react to deliveries. A referee acts on its own
+     while it still has ranks to forward during preprocessing, and a
+     candidate runs the whole implicit calendar; past it a candidate's
+     step only moves the quiet-round counter, which nothing reads once
+     the decision is fixed. *)
+  let idle (ctx : Protocol.ctx) st ~round =
+    match (st.cand, st.referee) with
+    | Some _, _ -> round >= implicit_rounds ~n:ctx.n ~alpha:ctx.alpha
+    | None, Some { queue = _ :: _; _ } -> round >= pre_end ~n:ctx.n ~alpha:ctx.alpha
+    | None, (Some { queue = []; _ } | None) -> true
+
   let decide st =
     if C.explicit && st.decision = Decision.Not_elected && st.leader_rank_seen = None then
       (* Explicit mode: a node that has not yet learned the leader's

@@ -111,6 +111,7 @@ end) : Protocol.S with type msg = msg = struct
     | Some r -> emit (forward_improvement r (fun v -> Down v)));
     (st, List.rev !actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

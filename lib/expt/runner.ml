@@ -17,13 +17,12 @@ type spec = {
   record_trace : bool;
   trial_timeout : float option;
   fast_protocol : (module Ftc_sim.Fast_protocol.S) option;
-      (** When set, trials run on the struct-of-arrays fast engine with
-          this codec-based port instead of [protocol]'s closure engine.
-          The port must be the fast twin of [protocol] (same name, same
-          semantics — pinned by the differential suite); [protocol] is
-          still consulted for telemetry naming and callers' predicates.
-          Incompatible with [transport]: the wrapper is a classic
-          protocol transformer. *)
+      (** When set, trials run this hand-written codec port of
+          [protocol] instead of [protocol] through the generic adapter
+          (same results — pinned by the differential suite); [protocol]
+          is still consulted for telemetry naming and callers'
+          predicates. Incompatible with [transport]: the wrapper
+          transforms a {!Ftc_sim.Protocol.S}. *)
 }
 
 let default_spec protocol ~n ~alpha =
@@ -128,12 +127,11 @@ let run ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~seed =
   in
   let result =
     match spec.fast_protocol with
+    | Some _ when spec.transport <> None ->
+        invalid_arg "Runner.run: a codec port cannot be transport-wrapped"
     | Some fm ->
-        if spec.transport <> None then
-          invalid_arg "Runner.run: the fast engine does not support transport wrapping";
-        let module FP = (val fm : Ftc_sim.Fast_protocol.S) in
-        let module FE = Ftc_sim.Fast_engine.Make (FP) in
-        FE.run cfg
+        let module E = Engine.Make_codec ((val fm : Ftc_sim.Fast_protocol.S)) in
+        E.run cfg
     | None ->
         let module E = Engine.Make (P) in
         E.run cfg

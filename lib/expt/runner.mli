@@ -29,13 +29,14 @@ type spec = {
           [result.watchdog_expired = true] and the supervisor classifies
           the trial as [Watchdog_expired]. [None] (default) = no budget. *)
   fast_protocol : (module Ftc_sim.Fast_protocol.S) option;
-      (** When set, trials run on the struct-of-arrays fast engine
-          ({!Ftc_sim.Fast_engine}) with this codec-based port instead of
-          [protocol]'s closure engine — bit-identical results, pinned by
-          the differential suite. [protocol] is still consulted for
-          telemetry naming and callers' predicates. Incompatible with
-          [transport] ({!run} raises [Invalid_argument]): the transport
-          wrapper is a classic protocol transformer. *)
+      (** When set, trials run this hand-written codec port of
+          [protocol] ({!Ftc_sim.Engine.Make_codec}) instead of
+          [protocol] through the generic adapter — bit-identical
+          results, pinned by the differential suite. [protocol] is still
+          consulted for telemetry naming and callers' predicates.
+          Incompatible with [transport] ({!run} raises
+          [Invalid_argument]): the transport wrapper transforms a
+          {!Ftc_sim.Protocol.S}. *)
 }
 
 val default_spec : (module Ftc_sim.Protocol.S) -> n:int -> alpha:float -> spec

@@ -1,4 +1,5 @@
-(** The synchronous round engine.
+(** The synchronous round engine: one struct-of-arrays pipeline that
+    every protocol runs on.
 
     Executes one protocol over a complete network of [n] nodes under a
     crash adversary, per the model of Section II of the paper:
@@ -94,6 +95,13 @@ val max_faulty : n:int -> alpha:float -> int
 (** [n - ceil(alpha * n)]: the largest faulty set leaving [alpha n]
     non-faulty nodes. *)
 
+module Make_codec (C : Fast_protocol.S) : sig
+  val run : config -> result
+end
+(** The engine over a codec protocol. *)
+
 module Make (P : Protocol.S) : sig
   val run : config -> result
 end
+(** The engine over any protocol, through the generic codec
+    {!Adapter.Make}: [Make (P)] is [Make_codec (Adapter.Make (P))]. *)

@@ -1,9 +1,9 @@
 module Rng = Ftc_rng.Rng
 
-(* Per-node lazy port table, shared by the closure engine and the
-   struct-of-arrays fast engine so both resolve destinations through
-   literally the same code (and thus the same wiring-rng stream). Ports
-   are dense small integers; the peer behind each used port is recorded
+(* Per-node lazy port table, shared by the engine and the reference
+   interpreter the tests hold it to, so both resolve destinations
+   through literally the same code (and thus the same wiring-rng
+   stream). Ports are dense small integers; the peer behind each used port is recorded
    both ways so that the same peer is always seen behind the same local
    port, as a fixed hidden permutation would guarantee.
 
@@ -11,7 +11,7 @@ module Rng = Ftc_rng.Rng
    probing and the port -> peer direction a dense array: at n = 10^6 a
    delivery resolves ports millions of times per trial, and a generic
    [Hashtbl] costs a [find_opt] allocation plus two dependent cache
-   misses per lookup. Tables are allocated on first use so the engines'
+   misses per lookup. Tables are allocated on first use so the engine's
    O(n) setup does not pay for nodes that never touch a port. *)
 
 type t = {

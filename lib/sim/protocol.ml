@@ -36,6 +36,17 @@ module type S = sig
   val step :
     ctx -> state -> round:int -> inbox:msg incoming list -> state * msg action list
 
+  val idle : ctx -> state -> round:int -> bool
+  (** [idle ctx st ~round = true] promises that from [round] on, until
+      a message arrives, stepping the node on an empty inbox has no
+      effect anyone can observe: no actions, no change to [decide] or
+      [observe], no draws on the node's coin, and nothing a later step
+      could tell apart. The engine then leaves the node unstepped until
+      its next delivery, so at large n only the nodes with work cost
+      anything. {!never_idle} is always correct; the differential
+      suite checks every protocol's promise against an interpreter
+      that steps every node every round. *)
+
   val decide : state -> Decision.t
   val observe : state -> Observation.t
 end
@@ -43,3 +54,6 @@ end
 (* Default one-phase calendar for protocols (and test harnesses) with no
    internal phase structure worth attributing. *)
 let single_phase ~n:_ ~alpha:_ = [ ("run", 0) ]
+
+(* The idle promise of a protocol that makes none. *)
+let never_idle _ _ ~round:_ = false

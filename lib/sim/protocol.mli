@@ -79,9 +79,24 @@ module type S = sig
   (** One synchronous round. [inbox] holds messages sent to this node in
       round [round - 1]; returned actions are sent in round [round]. *)
 
+  val idle : ctx -> state -> round:int -> bool
+  (** [idle ctx st ~round = true] promises that from [round] on, until
+      a message arrives, stepping the node on an empty inbox has no
+      effect anyone can observe: no actions, no change to [decide] or
+      [observe], no draws on the node's coin, and nothing a later step
+      could tell apart. The engine then leaves the node unstepped until
+      its next delivery, so at large n only the nodes with work cost
+      anything. {!never_idle} is always correct; the differential
+      suite checks every protocol's promise against an interpreter
+      that steps every node every round. *)
+
   val decide : state -> Decision.t
   val observe : state -> Observation.t
 end
 
 val single_phase : n:int -> alpha:float -> (string * int) list
 (** The trivial one-phase calendar [[("run", 0)]]. *)
+
+val never_idle : ctx -> 'state -> round:int -> bool
+(** The {!S.idle} of a protocol that makes no promise: step every live
+    node every round. *)

@@ -289,6 +289,7 @@ module Make
     st.pending <- still_pending;
     (st, List.rev !out)
 
+  let idle = Protocol.never_idle
   let decide st = P.decide st.inner
   let observe st = P.observe st.inner
 end

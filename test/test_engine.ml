@@ -61,6 +61,7 @@ module Ping_pong = struct
     if round = 3 then st.decision <- Decision.Agreed (st.pongs_seen + (1000 * st.pings_seen));
     (st, !actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
@@ -136,6 +137,7 @@ module Beacon = struct
     if round = 5 then st.decision <- Decision.Agreed st.got;
     (st, actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
@@ -378,6 +380,7 @@ module Illegal_kt0 = struct
   let step (_ : Protocol.ctx) () ~round ~inbox:_ =
     ((), if round = 0 then [ { Protocol.dest = Protocol.Node 0; payload = M } ] else [])
 
+  let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
   let observe () = Observation.bystander
 end
@@ -406,6 +409,7 @@ module Bad_port = struct
   let step (_ : Protocol.ctx) () ~round ~inbox:_ =
     ((), if round = 0 then [ { Protocol.dest = Protocol.Port 99; payload = M } ] else [])
 
+  let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
   let observe () = Observation.bystander
 end
@@ -434,6 +438,7 @@ module Fat_messages = struct
   let step (_ : Protocol.ctx) () ~round ~inbox:_ =
     ((), if round = 0 then [ { Protocol.dest = Protocol.Fresh_port; payload = M } ] else [])
 
+  let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
   let observe () = Observation.bystander
 end
@@ -458,6 +463,7 @@ module Instant = struct
   let phases = Protocol.single_phase
   let init _ = ()
   let step (_ : Protocol.ctx) () ~round:_ ~inbox:_ = ((), [])
+  let idle = Protocol.never_idle
   let decide () = Decision.Agreed 7
   let observe () = { Observation.bystander with has_decided = true }
 end
@@ -482,6 +488,7 @@ module Know_thyself = struct
     match ctx.self with Some s -> s | None -> Alcotest.fail "KT1 ctx lacks self"
 
   let step (_ : Protocol.ctx) s ~round:_ ~inbox:_ = (s, [])
+  let idle = Protocol.never_idle
   let decide s = Decision.Agreed s
   let observe _ = { Observation.bystander with has_decided = true }
 end
@@ -534,6 +541,7 @@ module Double_ping = struct
         | _ -> Decision.Agreed (-1));
     (st, actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
@@ -682,6 +690,7 @@ module Inbox_order = struct
     if round >= 1 then st.decision <- Decision.Agreed st.folded;
     (st, actions)
 
+  let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =

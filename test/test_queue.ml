@@ -131,6 +131,7 @@ let run_funnel ?(n = 24) ?(fan = 2) ?(rounds = 4) ?(seed = 3) ?queue ?(trace = f
       in
       (st, actions)
 
+    let idle = Protocol.never_idle
     let decide _ = Decision.Undecided
     let observe _ = Observation.bystander
   end in

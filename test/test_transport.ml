@@ -45,6 +45,7 @@ let make_probe ~fan ~rounds () =
 
     (* Never decides: keeps the engine from early-stopping between
        windows, so the full send calendar runs. *)
+    let idle = Protocol.never_idle
     let decide _ = Decision.Undecided
     let observe _ = Observation.bystander
   end in
