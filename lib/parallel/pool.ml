@@ -9,7 +9,9 @@ type t = {
   work_ready : Condition.t;
   queue : (int64 * (unit -> unit)) Queue.t;  (* (enqueue stamp, job) *)
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable running : int;  (* workers still serving this pool *)
+  mutable failed : exn option;  (* what a worker died of, for [shutdown] *)
+  stopped : Condition.t;  (* broadcast when [running] reaches 0 *)
   jobs : int;
   dropped : int Atomic.t;
   sink : (exn -> Printexc.raw_backtrace -> unit) Atomic.t;
@@ -51,6 +53,48 @@ let worker_loop pool worker () =
   in
   loop ()
 
+let leave pool failure =
+  Mutex.lock pool.lock;
+  if pool.failed = None then pool.failed <- failure;
+  pool.running <- pool.running - 1;
+  if pool.running = 0 then Condition.broadcast pool.stopped;
+  Mutex.unlock pool.lock
+
+(* Worker domains outlive the pools they serve. A domain that exits
+   leaves its heap pools to be adopted with whatever they still hold,
+   so a sweep that built a pool per batch grew its heap by a few pools
+   per batch for as long as it ran; parked domains keep reusing theirs.
+   A parked domain waits here for the next pool's worker loop. *)
+let spare_lock = Mutex.create ()
+let spare_ready = Condition.create ()
+let spare_work : (unit -> unit) Queue.t = Queue.create ()
+let spare_idle = ref 0
+
+let rec spare_loop () =
+  Mutex.lock spare_lock;
+  incr spare_idle;
+  while Queue.is_empty spare_work do
+    Condition.wait spare_ready spare_lock
+  done;
+  decr spare_idle;
+  let work = Queue.take spare_work in
+  Mutex.unlock spare_lock;
+  work ();
+  spare_loop ()
+
+let start_worker pool worker =
+  let work () =
+    match worker_loop pool worker () with
+    | () -> leave pool None
+    | exception e -> leave pool (Some e)
+  in
+  Mutex.lock spare_lock;
+  Queue.push work spare_work;
+  let parked = !spare_idle >= Queue.length spare_work in
+  if parked then Condition.signal spare_ready;
+  Mutex.unlock spare_lock;
+  if not parked then ignore (Domain.spawn spare_loop : unit Domain.t)
+
 let create ?monitor ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let pool =
@@ -59,14 +103,18 @@ let create ?monitor ~jobs () =
       work_ready = Condition.create ();
       queue = Queue.create ();
       stopping = false;
-      workers = [];
+      running = jobs;
+      failed = None;
+      stopped = Condition.create ();
       jobs;
       dropped = Atomic.make 0;
       sink = Atomic.make (fun _ _ -> ());
       monitor;
     }
   in
-  pool.workers <- List.init jobs (fun i -> Domain.spawn (worker_loop pool i));
+  for worker = 0 to jobs - 1 do
+    start_worker pool worker
+  done;
   pool
 
 let submit pool job =
@@ -88,9 +136,13 @@ let shutdown pool =
   Mutex.lock pool.lock;
   pool.stopping <- true;
   Condition.broadcast pool.work_ready;
+  while pool.running > 0 do
+    Condition.wait pool.stopped pool.lock
+  done;
+  let failed = pool.failed in
+  pool.failed <- None;
   Mutex.unlock pool.lock;
-  List.iter Domain.join pool.workers;
-  pool.workers <- []
+  Option.iter raise failed
 
 let with_pool ?monitor ~jobs f =
   let pool = create ?monitor ~jobs () in

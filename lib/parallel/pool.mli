@@ -6,9 +6,10 @@
     whatever order the workers finished in, so a parallel map over
     pure-per-item work is observationally identical to [List.map].
 
-    No dependencies beyond the stdlib: workers are [Domain.spawn]ed at
-    {!create} and parked on a [Condition] until work arrives or the pool
-    shuts down. *)
+    No dependencies beyond the stdlib: workers park on a [Condition]
+    until work arrives or the pool shuts down. Their domains outlive the
+    pool: after {!shutdown} they wait for the next pool's workers, and
+    new domains are spawned only when no parked one is free. *)
 
 type t
 
@@ -26,9 +27,9 @@ type monitor = {
     the pool never reads a clock. *)
 
 val create : ?monitor:monitor -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (so up to [jobs] closures run at once;
-    the submitting domain only coordinates). Raises [Invalid_argument]
-    when [jobs < 1]. *)
+(** Start [jobs] workers, each on its own domain (so up to [jobs]
+    closures run at once; the submitting domain only coordinates).
+    Raises [Invalid_argument] when [jobs < 1]. *)
 
 val jobs : t -> int
 (** The worker count the pool was created with. *)
@@ -64,8 +65,10 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     backtrace. The pool survives a raising map and can be reused. *)
 
 val shutdown : t -> unit
-(** Let workers drain the queue, then join every domain. Idempotent.
-    After shutdown, {!submit} and {!map} raise [Invalid_argument]. *)
+(** Let workers drain the queue, then wait for every worker to leave
+    the pool, re-raising what one died of (a monitor callback that
+    raised). Idempotent. After shutdown, {!submit} and {!map} raise
+    [Invalid_argument]. *)
 
 val with_pool : ?monitor:monitor -> jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] over a fresh pool and shuts it down on

@@ -212,6 +212,40 @@ let test_pool_shutdown_idempotent_and_final () =
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       Pool.submit pool ignore)
 
+(* Worker domains outlive their pool: later pools run on the domains
+   earlier ones parked instead of spawning fresh ones (whose exit would
+   strand their heap). Every spawn gets a new domain id, so twenty
+   two-worker pools that each spawned would show forty ids; reuse keeps
+   it to the few domains earlier tests in this process left parked. *)
+let test_pool_reuses_domains () =
+  let ids =
+    List.concat_map
+      (fun _ ->
+        Pool.with_pool ~jobs:2 (fun pool ->
+            Pool.map pool
+              (fun _ ->
+                ignore (busy_work 20_000);
+                (Domain.self () :> int))
+              (List.init 8 Fun.id)))
+      (List.init 20 Fun.id)
+  in
+  Alcotest.(check bool) "domains reused across pools" true
+    (List.length (List.sort_uniq compare ids) <= 8)
+
+(* A worker that dies (here: of a raising monitor callback) still leaves
+   the pool, and shutdown reports what it died of. *)
+let test_pool_shutdown_reraises_worker_death () =
+  let monitor =
+    {
+      Pool.now_ns = (fun () -> 0L);
+      enqueued = (fun ~depth:_ -> ());
+      job_done = (fun ~worker:_ ~enqueued_ns:_ ~started_ns:_ ~finished_ns:_ -> raise Exit);
+    }
+  in
+  let pool = Pool.create ~monitor ~jobs:1 () in
+  Pool.submit pool ignore;
+  Alcotest.check_raises "shutdown re-raises" Exit (fun () -> Pool.shutdown pool)
+
 let test_pool_rejects_bad_jobs () =
   Alcotest.check_raises "jobs=0 rejected"
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
@@ -396,6 +430,9 @@ let () =
               test_pool_shutdown_idempotent_and_final;
             Alcotest.test_case "jobs < 1 rejected" `Quick
               test_pool_rejects_bad_jobs;
+            Alcotest.test_case "domains outlive their pool" `Quick test_pool_reuses_domains;
+            Alcotest.test_case "shutdown re-raises a worker's death" `Quick
+              test_pool_shutdown_reraises_worker_death;
           ] );
       ( "results-capture",
         qcheck [ qcheck_map_results_no_cancellation ]
