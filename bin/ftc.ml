@@ -190,6 +190,15 @@ let jobs_arg =
           "Worker domains for the trial loops. Trials are seed-independent, so any value \
            produces bit-identical results; more jobs only finish sooner.")
 
+(* The paper's model (n >= 2, 0 < alpha <= 1), stated once in
+   [Engine.validate_model]: a bad n or alpha is a usage error (exit 2). *)
+let parse_model ~n ~alpha =
+  match Ftc_sim.Engine.validate_model ~n ~alpha with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "%s (got n=%d, alpha=%g)\n" e n alpha;
+      exit 2
+
 (* Shared by every command taking --jobs: a non-positive count is a usage
    error (exit 2), like the other argument checks. *)
 let parse_jobs jobs =
@@ -304,14 +313,16 @@ let with_telemetry ?(flight_capacity = 4096) dir f =
         Ftc_telemetry.Export.trace_file Ftc_telemetry.Export.prom_file blackbox_file;
       code
 
-let supervise_config ?(stop = fun () -> false)
-    ?(flight = Ftc_telemetry.Flight.disabled) ~recorder ~jobs ~keep_going ~journal ~resume
-    ~quarantine ~trial_timeout () =
-  (match trial_timeout with
+(* A non-positive per-trial budget is a usage error (exit 2). *)
+let parse_trial_timeout = function
   | Some t when t <= 0. ->
       Printf.eprintf "--trial-timeout must be positive (got %g)\n" t;
       exit 2
-  | _ -> ());
+  | t -> t
+
+let supervise_config ?(stop = fun () -> false)
+    ?(flight = Ftc_telemetry.Flight.disabled) ~recorder ~jobs ~keep_going ~journal ~resume
+    ~quarantine () =
   let journal, resume =
     match (journal, resume) with
     | Some _, Some _ ->
@@ -326,7 +337,6 @@ let supervise_config ?(stop = fun () -> false)
     journal;
     resume;
     quarantine = Some quarantine;
-    trial_timeout;
     recorder;
     flight;
     stop;
@@ -411,24 +421,7 @@ let classify_for_cli o =
   | Some ((Supervise.Violation | Supervise.Watchdog_expired), _) as c -> c
   | _ -> None
 
-let make_spec ?(loss = Ftc_fault.Omission.No_loss) ?queue ?(transport_on = false) protocol ~n
-    ~alpha ~inputs ~adversary ~trace =
-  {
-    (Ftc_expt.Runner.default_spec protocol ~n ~alpha) with
-    Ftc_expt.Runner.inputs;
-    adversary;
-    record_trace = trace;
-    link = (fun () -> Ftc_fault.Omission.to_link loss);
-    queue;
-    transport = (if transport_on then Some Ftc_transport.Transport.default_config else None);
-  }
-
-let run_spec ?loss ?queue ?transport_on protocol ~n ~alpha ~inputs ~adversary ~seed ~trace =
-  Ftc_expt.Runner.run_exn
-    (make_spec ?loss ?queue ?transport_on protocol ~n ~alpha ~inputs ~adversary ~trace)
-    ~seed
-
-(* -- election command -- *)
+(* -- election and agreement commands -- *)
 
 let election_report ~explicit seed (o : Ftc_expt.Runner.outcome) =
   let b = Buffer.create 256 in
@@ -459,61 +452,6 @@ let election_report ~explicit seed (o : Ftc_expt.Runner.outcome) =
   in
   { report = Buffer.contents b; success }
 
-let election n alpha seed adversary_name explicit trials loss loss_model queue_cap queue_model
-    transport_on engine jobs keep_going journal resume quarantine trial_timeout telemetry =
-  let loss = parse_loss ~loss ~model:loss_model in
-  let queue = parse_queue ~cap:queue_cap ~model:queue_model in
-  let jobs = parse_jobs jobs in
-  match adversary_of_name adversary_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok adversary ->
-      with_telemetry telemetry @@ fun recorder flight ->
-      let config =
-        supervise_config ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine
-          ~trial_timeout ()
-      in
-      let spec =
-        {
-          (make_spec ~loss ?queue ~transport_on
-             (Ftc_core.Leader_election.make ~explicit params)
-             ~n ~alpha ~inputs:Ftc_expt.Runner.Zeros ~adversary ~trace:false)
-          with
-          Ftc_expt.Runner.trial_timeout;
-          (* The codec port cannot be transport-wrapped; wrapped runs
-             take the adapter, with the same results. *)
-          fast_protocol =
-            (if transport_on then None
-             else Some (Ftc_core.Leader_election_fast.make ~explicit params));
-        }
-      in
-      (* The engine line is appended only for fast runs, so journals of
-         classic runs keep their historical hash. *)
-      let spec_hash =
-        spec_hash_of
-          ([
-             "election";
-             Printf.sprintf "explicit=%b" explicit;
-             Printf.sprintf "n=%d" n;
-             Printf.sprintf "alpha=%.17g" alpha;
-             "adversary=" ^ adversary_name;
-             "loss=" ^ Ftc_fault.Omission.spec_to_string loss;
-             queue_hash_line queue;
-             Printf.sprintf "transport=%b" transport_on;
-           ]
-          @ if engine = `Fast then [ "engine=fast" ] else [])
-      in
-      let run_trial seed =
-        let o = Ftc_expt.Runner.run ~recorder spec ~seed in
-        match classify_for_cli o with
-        | Some failure -> Error failure
-        | None -> Ok (election_report ~explicit seed o)
-      in
-      run_supervised config ~spec_hash ~run_trial ~seed ~trials ()
-
-(* -- agreement command -- *)
-
 let agreement_report ~explicit seed (o : Ftc_expt.Runner.outcome) =
   let b = Buffer.create 256 in
   let rep = Ftc_core.Properties.check_implicit_agreement ~inputs:o.inputs_used o.result in
@@ -538,12 +476,17 @@ let agreement_report ~explicit seed (o : Ftc_expt.Runner.outcome) =
   end;
   { report = Buffer.contents b; success = rep.ok }
 
-let agreement n alpha seed adversary_name explicit trials ones_prob loss loss_model queue_cap
-    queue_model transport_on engine jobs keep_going journal resume quarantine trial_timeout
-    telemetry =
+(* election and agreement: one supervised-trial body, differing only in
+   the protocol, its codec port, the inputs, the report and the extra
+   spec-hash lines. *)
+let supervised_trials ~cmd ~explicit ~hash_lines ~protocol ?fast_protocol ~inputs ~report n
+    alpha seed adversary_name trials loss loss_model queue_cap queue_model transport_on engine
+    jobs keep_going journal resume quarantine trial_timeout telemetry =
+  parse_model ~n ~alpha;
   let loss = parse_loss ~loss ~model:loss_model in
   let queue = parse_queue ~cap:queue_cap ~model:queue_model in
   let jobs = parse_jobs jobs in
+  let trial_timeout = parse_trial_timeout trial_timeout in
   match adversary_of_name adversary_name with
   | Error e ->
       prerr_endline e;
@@ -551,43 +494,60 @@ let agreement n alpha seed adversary_name explicit trials ones_prob loss loss_mo
   | Ok adversary ->
       with_telemetry telemetry @@ fun recorder flight ->
       let config =
-        supervise_config ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine
-          ~trial_timeout ()
+        supervise_config ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
       in
       let spec =
         {
-          (make_spec ~loss ?queue ~transport_on
-             (Ftc_core.Agreement.make ~explicit params)
-             ~n ~alpha
-             ~inputs:(Ftc_expt.Runner.Random_bits ones_prob)
-             ~adversary ~trace:false)
-          with
-          Ftc_expt.Runner.trial_timeout;
+          (Ftc_expt.Runner.default_spec protocol ~n ~alpha) with
+          Ftc_expt.Runner.inputs;
+          adversary;
+          link = (fun () -> Ftc_fault.Omission.to_link loss);
+          queue;
+          transport = (if transport_on then Some Ftc_transport.Transport.default_config else None);
+          trial_timeout;
+          fast_protocol;
         }
       in
-      (* As in [election]: classic journals keep their historical hash. *)
+      (* The engine line is appended only for --engine fast, so journals
+         of default runs keep their historical hash. *)
       let spec_hash =
         spec_hash_of
           ([
-             "agreement";
+             cmd;
              Printf.sprintf "explicit=%b" explicit;
              Printf.sprintf "n=%d" n;
              Printf.sprintf "alpha=%.17g" alpha;
              "adversary=" ^ adversary_name;
-             Printf.sprintf "ones=%.17g" ones_prob;
-             "loss=" ^ Ftc_fault.Omission.spec_to_string loss;
-             queue_hash_line queue;
-             Printf.sprintf "transport=%b" transport_on;
            ]
+          @ hash_lines
+          @ [
+              "loss=" ^ Ftc_fault.Omission.spec_to_string loss;
+              queue_hash_line queue;
+              Printf.sprintf "transport=%b" transport_on;
+            ]
           @ if engine = `Fast then [ "engine=fast" ] else [])
       in
       let run_trial seed =
         let o = Ftc_expt.Runner.run ~recorder spec ~seed in
         match classify_for_cli o with
         | Some failure -> Error failure
-        | None -> Ok (agreement_report ~explicit seed o)
+        | None -> Ok (report seed o)
       in
       run_supervised config ~spec_hash ~run_trial ~seed ~trials ()
+
+let election n alpha seed adversary_name explicit =
+  supervised_trials ~cmd:"election" ~explicit ~hash_lines:[]
+    ~protocol:(Ftc_core.Leader_election.make ~explicit params)
+    ~fast_protocol:(Ftc_core.Leader_election_fast.make ~explicit params)
+    ~inputs:Ftc_expt.Runner.Zeros ~report:(election_report ~explicit) n alpha seed
+    adversary_name
+
+let agreement n alpha seed adversary_name explicit ones_prob =
+  supervised_trials ~cmd:"agreement" ~explicit
+    ~hash_lines:[ Printf.sprintf "ones=%.17g" ones_prob ]
+    ~protocol:(Ftc_core.Agreement.make ~explicit params)
+    ~inputs:(Ftc_expt.Runner.Random_bits ones_prob) ~report:(agreement_report ~explicit) n
+    alpha seed adversary_name
 
 (* -- sweep command -- *)
 
@@ -600,18 +560,18 @@ let sweep protocol_name n alpha seed adversary_name trials loss loss_model queue
   let loss = parse_loss ~loss ~model:loss_model in
   let queue = parse_queue ~cap:queue_cap ~model:queue_model in
   let jobs = parse_jobs jobs in
-  (match Ftc_chaos.Catalog.find protocol_name with
-  | None ->
-      Printf.eprintf "unknown protocol %s (known: %s)\n" protocol_name
-        (String.concat ", " (Ftc_chaos.Catalog.names ()));
+  let trial_timeout = parse_trial_timeout trial_timeout in
+  let mk_case =
+    Ftc_chaos.Case.of_seed ~loss ?queue ~transport:transport_on ~protocol:protocol_name ~n
+      ~alpha ~adversary:(Some adversary_name)
+  in
+  (* Every trial's case differs from the first only in its seed and the
+     inputs drawn from it, so validating the first validates them all. *)
+  (match Ftc_chaos.Case.validate (mk_case seed) with
+  | Error e ->
+      prerr_endline (Ftc_chaos.Case.error_to_string e);
       exit 2
-  | Some _ -> ());
-  if not (List.mem_assoc adversary_name (Ftc_fault.Strategy.all ())) then begin
-    Printf.eprintf "unknown adversary %s (known: %s)\n" adversary_name
-      (String.concat ", " (List.map fst (Ftc_fault.Strategy.all ())));
-    exit 2
-  end;
-  let entry = Option.get (Ftc_chaos.Catalog.find protocol_name) in
+  | Ok _ -> ());
   with_telemetry telemetry @@ fun recorder flight ->
   (* SIGTERM = drain, mirroring ftc serve: stop admitting queued trials,
      let running ones finish and be journaled (the WAL already flushes
@@ -628,21 +588,7 @@ let sweep protocol_name n alpha seed adversary_name trials loss loss_model queue
   let config =
     supervise_config
       ~stop:(fun () -> Atomic.get sigterm)
-      ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ~trial_timeout ()
-  in
-  let mk_case seed =
-    {
-      Ftc_chaos.Case.protocol = protocol_name;
-      n;
-      alpha;
-      seed;
-      inputs = Ftc_chaos.Catalog.gen_inputs entry ~n ~seed;
-      plan = [];
-      adversary = Some adversary_name;
-      loss;
-      queue;
-      transport = transport_on;
-    }
+      ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
   in
   let spec_hash =
     spec_hash_of
@@ -657,16 +603,9 @@ let sweep protocol_name n alpha seed adversary_name trials loss loss_model queue
         Printf.sprintf "transport=%b" transport_on;
       ]
   in
-  let watchdog_for () =
-    match config.Supervise.trial_timeout with
-    | None -> None
-    | Some limit ->
-        let start = Unix.gettimeofday () in
-        Some (fun () -> Unix.gettimeofday () -. start >= limit)
-  in
   let run_trial seed =
-    let case = mk_case seed in
-    match Ftc_chaos.Case.run ?watchdog:(watchdog_for ()) ~recorder case with
+    let watchdog = Option.map Ftc_expt.Runner.deadline trial_timeout in
+    match Ftc_chaos.Case.run ?watchdog ~recorder (mk_case seed) with
     | Error e -> Error (Supervise.Exception, Ftc_chaos.Case.error_to_string e)
     | Ok (result, findings) -> (
         if result.Ftc_sim.Engine.watchdog_expired then
@@ -748,6 +687,7 @@ let expt ids full seed queue_cap queue_model engine jobs journal resume =
 (* -- clouds command -- *)
 
 let clouds n alpha seed adversary_name scale_factor =
+  parse_model ~n ~alpha;
   match adversary_of_name adversary_name with
   | Error e ->
       prerr_endline e;
@@ -761,11 +701,14 @@ let clouds n alpha seed adversary_name scale_factor =
         }
       in
       let o =
-        run_spec
-          (Ftc_core.Agreement.make starved)
-          ~n ~alpha
-          ~inputs:(Ftc_expt.Runner.Random_bits 0.5)
-          ~adversary ~seed ~trace:true
+        Ftc_expt.Runner.run_exn
+          {
+            (Ftc_expt.Runner.default_spec (Ftc_core.Agreement.make starved) ~n ~alpha) with
+            Ftc_expt.Runner.inputs = Random_bits 0.5;
+            adversary;
+            record_trace = true;
+          }
+          ~seed
       in
       (match o.result.trace with
       | None -> prerr_endline "no trace recorded"
@@ -1474,8 +1417,8 @@ let agreement_cmd =
   Cmd.v
     (Cmd.info "agreement" ~doc)
     Term.(
-      const agreement $ n_arg $ alpha_arg $ seed_arg $ adversary_arg $ explicit_arg $ trials_arg
-      $ ones $ loss_arg $ loss_model_arg $ queue_cap_arg $ queue_model_arg $ transport_arg
+      const agreement $ n_arg $ alpha_arg $ seed_arg $ adversary_arg $ explicit_arg $ ones
+      $ trials_arg $ loss_arg $ loss_model_arg $ queue_cap_arg $ queue_model_arg $ transport_arg
       $ engine_arg $ jobs_arg $ keep_going_arg $ journal_arg $ resume_arg $ quarantine_arg
       $ trial_timeout_arg $ telemetry_arg)
 

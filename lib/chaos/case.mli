@@ -33,6 +33,22 @@ type t = {
 
 val equal : t -> t -> bool
 
+val of_seed :
+  ?loss:Ftc_fault.Omission.spec ->
+  ?queue:Ftc_sim.Queue_model.config ->
+  ?transport:bool ->
+  protocol:string ->
+  n:int ->
+  alpha:float ->
+  adversary:string option ->
+  int ->
+  t
+(** [of_seed ~protocol ~n ~alpha ~adversary seed]: the case [ftc sweep]
+    and the serve front-end run for one seed — no crash plan, inputs
+    from {!Catalog.gen_inputs} (empty when [protocol] is unknown or [n]
+    negative, which {!validate} rejects), no loss, queue or transport
+    unless given. *)
+
 type error = Unknown_protocol of string | Invalid_case of string
 
 val error_to_string : error -> string
@@ -48,19 +64,20 @@ val run :
   ?recorder:Ftc_telemetry.Recorder.t ->
   t ->
   (Ftc_sim.Engine.result * Oracle.finding list, error) result
-(** Deterministically executes the case (with tracing, so the
-    trace-metrics oracle applies) and judges it against every applicable
-    oracle. The protocol runs on its catalog codec port when it has one
-    and the case is not transport-wrapped, on the generic adapter
-    otherwise; the results are the same. A lossy case without the transport is judged by the accounting
-    oracles only (see {!Oracle.check}'s [lossy_raw]). [watchdog] is passed
-    through to {!Ftc_sim.Engine.config.watchdog}: the sweep supervisor's
-    per-trial wall-clock budget; it never changes what the simulation
-    computes, only whether it is cut short. A live [recorder] (default:
-    disabled) instruments the run exactly as {!Ftc_expt.Runner.run}
-    does: trial event, phase spans along the protocol's calendar, and
-    the standard metric feed — a case marked [ok] iff the oracles found
-    nothing. *)
+(** Validates the case, maps it to a {!Ftc_expt.Runner.spec} (with
+    tracing, so the trace-metrics oracle applies, and the catalog's codec
+    port as [fast_protocol]), runs it through {!Ftc_expt.Runner.run_judged}
+    and judges it against every applicable oracle. The engine config,
+    transport wrapper, port choice, watchdog and telemetry are all the
+    runner's: the port runs unless the case is transport-wrapped, and the
+    results are the same either way. A lossy case without the transport
+    is judged by the accounting oracles only (see {!Oracle.check}'s
+    [lossy_raw]). [watchdog] replaces the runner's wall-clock default: a
+    per-trial budget or the serve supervisor's kill-injecting poll; it
+    never changes what the simulation computes, only whether it is cut
+    short. A live [recorder] (default: disabled) instruments the run as
+    {!Ftc_expt.Runner.run} does, with the [Trial] event marked [ok] iff
+    the oracles found nothing. *)
 
 val findings : t -> Oracle.finding list
 (** [findings c] = oracle findings of [run c], [[]] if the case itself is

@@ -23,9 +23,9 @@ type entry = {
   fast : (unit -> (module Ftc_sim.Fast_protocol.S)) option;
       (** The protocol's hand-written codec port for
           {!Ftc_sim.Engine.Make_codec}, where one exists; {!Case.run}
-          uses it for every case without the transport wrapper. The
-          port is bit-identical to [make] by the differential suite's
-          contract. *)
+          hands it to the runner, which uses it unless the case is
+          transport-wrapped. The port is bit-identical to [make] by the
+          differential suite's contract. *)
   kind : kind;
   explicit : bool;  (** Hold the protocol to the explicit variant's oracle. *)
   inputs : input_kind;

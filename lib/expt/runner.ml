@@ -17,12 +17,6 @@ type spec = {
   record_trace : bool;
   trial_timeout : float option;
   fast_protocol : (module Ftc_sim.Fast_protocol.S) option;
-      (** When set, trials run this hand-written codec port of
-          [protocol] instead of [protocol] through the generic adapter
-          (same results — pinned by the differential suite); [protocol]
-          is still consulted for telemetry naming and callers'
-          predicates. Incompatible with [transport]: the wrapper
-          transforms a {!Ftc_sim.Protocol.S}. *)
 }
 
 let default_spec protocol ~n ~alpha =
@@ -82,7 +76,20 @@ let materialize_inputs spec ~seed =
       let rng = Rng.create (seed lxor 0x5bd1e995) in
       Array.init spec.n (fun _ -> if Dist.bernoulli rng p then 1 else 0)
 
-let run ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~seed =
+(* A wall-clock deadline armed now. The engine polls it between rounds;
+   the simulation itself stays a pure function of the seed — only how
+   far it got can differ. *)
+let deadline limit =
+  let start = Unix.gettimeofday () in
+  fun () -> Unix.gettimeofday () -. start >= limit
+
+(* The model-level health of a run, not the experiment's statistical
+   success predicate (which belongs to the caller): violations, timeout,
+   or a watchdog stop mark a trial failed in telemetry. *)
+let model_clean (r : Engine.result) =
+  r.violations = [] && (not r.timed_out) && not r.watchdog_expired
+
+let run_judged ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~seed ~judge =
   (* Transport framing lets a data message and an ack share an edge-round,
      so wrapped runs get double the paper's per-edge budget — the framing
      itself is O(log n), so the doubling is honest. *)
@@ -112,41 +119,30 @@ let run ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~seed =
       record_trace = spec.record_trace;
       max_rounds_override = None;
       watchdog =
-        (* Wall-clock deadline, armed when the trial starts. The engine
-           polls it between rounds; the simulation itself stays a pure
-           function of the seed — only how far it got can differ. *)
-        (match spec.trial_timeout with
-        | None -> None
-        | Some limit ->
-            let start = Unix.gettimeofday () in
-            Some (fun () -> Unix.gettimeofday () -. start >= limit));
+        (match watchdog with
+        | Some _ -> watchdog
+        | None -> Option.map deadline spec.trial_timeout);
       round_clock =
         (if telemetry_on then Some (fun () -> Ftc_telemetry.Recorder.now_ns recorder)
          else None);
     }
   in
+  (* The codec port runs wherever it applies. The transport wrapper
+     transforms a Protocol.S, so a wrapped run takes the adapter — with
+     the same results, by the differential suite's contract. *)
   let result =
     match spec.fast_protocol with
-    | Some _ when spec.transport <> None ->
-        invalid_arg "Runner.run: a codec port cannot be transport-wrapped"
-    | Some fm ->
+    | Some fm when spec.transport = None ->
         let module E = Engine.Make_codec ((val fm : Ftc_sim.Fast_protocol.S)) in
         E.run cfg
-    | None ->
+    | Some _ | None ->
         let module E = Engine.Make (P) in
         E.run cfg
   in
+  let outcome = { result; inputs_used = inputs; seed; transport_stats } in
+  let verdict, ok = judge outcome in
   if telemetry_on then begin
     let m = result.Engine.metrics in
-    (* [ok] here is the model-level health of the run, not the
-       experiment's statistical success predicate (which belongs to the
-       caller): violations, timeout, or a watchdog stop mark a trial
-       failed in telemetry. *)
-    let ok =
-      result.Engine.violations = []
-      && (not result.Engine.timed_out)
-      && not result.Engine.watchdog_expired
-    in
     Ftc_telemetry.Instrument.record_run recorder ~protocol:P.name ~seed ~ok
       ~phases:(P.phases ~n:spec.n ~alpha:spec.alpha)
       ~rounds_used:result.Engine.rounds_used
@@ -160,7 +156,10 @@ let run ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~seed =
       ~unroutable:m.Ftc_sim.Metrics.msgs_unroutable ~round_ns:result.Engine.round_ns
       ~start_ns
   end;
-  { result; inputs_used = inputs; seed; transport_stats }
+  (outcome, verdict)
+
+let run ?recorder spec ~seed =
+  fst (run_judged ?recorder spec ~seed ~judge:(fun o -> ((), model_clean o.result)))
 
 let violations o = o.result.Engine.violations
 

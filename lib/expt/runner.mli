@@ -33,10 +33,9 @@ type spec = {
           [protocol] ({!Ftc_sim.Engine.Make_codec}) instead of
           [protocol] through the generic adapter — bit-identical
           results, pinned by the differential suite. [protocol] is still
-          consulted for telemetry naming and callers' predicates.
-          Incompatible with [transport] ({!run} raises
-          [Invalid_argument]): the transport wrapper transforms a
-          {!Ftc_sim.Protocol.S}. *)
+          consulted for telemetry naming and callers' predicates. A
+          [transport]-wrapped run ignores the port and takes the
+          adapter: the wrapper transforms a {!Ftc_sim.Protocol.S}. *)
 }
 
 val default_spec : (module Ftc_sim.Protocol.S) -> n:int -> alpha:float -> spec
@@ -64,16 +63,45 @@ exception
     the first. A printer is registered, so an uncaught one reads well. *)
 
 val run : ?recorder:Ftc_telemetry.Recorder.t -> spec -> seed:int -> outcome
-(** Input generation is seeded by [seed], so an outcome is reproducible
+(** With {!run_judged}, the one place an instance becomes an engine
+    run: it builds the {!Ftc_sim.Engine.config}, wraps the transport
+    (doubling the CONGEST budget), picks the codec port or the adapter,
+    arms the watchdog and the round clock, and records the trial's
+    telemetry.
+
+    Input generation is seeded by [seed], so an outcome is reproducible
     from [(spec, seed)] alone. Never raises on model violations — inspect
     {!violations} (the chaos harness treats them as findings).
+
+    The engine's watchdog ({!Ftc_sim.Engine.config.watchdog}) is
+    {!deadline} of [spec.trial_timeout], armed when the trial starts.
 
     With a live [recorder] (default: the disabled one), the trial is
     instrumented: the engine's round clock is armed, a [Trial] event and
     per-phase [Span]s (cut along the protocol's
     {!Ftc_sim.Protocol.S.phases} calendar) are emitted on track
     ["seed-N"], and the standard counters/histograms are fed. The
-    simulation result is bit-identical either way. *)
+    [Trial] event is [ok] iff the run was model-clean: no violations,
+    no timeout, no watchdog stop. The simulation result is bit-identical
+    either way. *)
+
+val run_judged :
+  ?watchdog:(unit -> bool) ->
+  ?recorder:Ftc_telemetry.Recorder.t ->
+  spec ->
+  seed:int ->
+  judge:(outcome -> 'a * bool) ->
+  outcome * 'a
+(** As {!run}, but [judge] rules on the outcome before its telemetry is
+    recorded: its verdict is returned alongside the outcome, and its
+    bool is the [Trial] event's [ok]. The chaos harness judges with its
+    oracles, so a case is [ok] iff they found nothing. A given
+    [watchdog] replaces the [trial_timeout] deadline: the serve
+    supervisor passes its kill-injecting poll. *)
+
+val deadline : float -> unit -> bool
+(** [deadline secs] arms a wall-clock watchdog now: the closure returns
+    [true] once [secs] seconds have passed. *)
 
 val violations : outcome -> Ftc_sim.Violation.t list
 

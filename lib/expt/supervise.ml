@@ -27,7 +27,6 @@ type config = {
   journal : string option;
   resume : bool;
   quarantine : string option;
-  trial_timeout : float option;
   recorder : Ftc_telemetry.Recorder.t;
   flight : Ftc_telemetry.Flight.t;
   stop : unit -> bool;
@@ -40,7 +39,6 @@ let default_config =
     journal = None;
     resume = false;
     quarantine = None;
-    trial_timeout = None;
     recorder = Ftc_telemetry.Recorder.disabled;
     flight = Ftc_telemetry.Flight.disabled;
     stop = (fun () -> false);

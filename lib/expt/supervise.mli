@@ -10,8 +10,10 @@
       missing ones run, and because each trial is a pure function of its
       seed the resumed sweep's output is bit-identical to an
       uninterrupted run.
-    - {b Watchdog}: a per-trial wall-clock budget enforced cooperatively
-      by the engine (see {!Ftc_sim.Engine.config.watchdog}).
+    - {b Watchdog}: a trial that {!Runner.run}'s wall-clock watchdog
+      stopped (see {!Ftc_sim.Engine.config.watchdog}) fails as
+      [Watchdog_expired]; the budget itself belongs to the trial
+      ({!Runner.spec.trial_timeout}), not to the supervisor.
     - {b Quarantine}: under keep-going, failed trials are recorded in a
       quarantine file (one JSON object per line, each embedding a chaos
       replay document where one exists) instead of aborting the sweep;
@@ -46,7 +48,6 @@ type config = {
       (** [journal] is an existing journal from an interrupted run of the
           {e same} spec: load it, skip its seeds, append the rest. *)
   quarantine : string option;  (** Where failed trials are recorded. *)
-  trial_timeout : float option;  (** Per-trial wall-clock budget, seconds. *)
   recorder : Ftc_telemetry.Recorder.t;
       (** Sweep telemetry sink: one [Heartbeat] event and outcome
           counter per finished trial, plus a pool monitor on the

@@ -151,19 +151,18 @@ let send st c reply =
 
 let max_n = 4096
 
+(* The case rule ([Case.validate] of the case the worker will run) plus
+   serve's own resource bound on n, checked first so an oversized submit
+   never allocates its inputs. *)
 let validate (s : Wire.submit) =
-  if Ftc_chaos.Catalog.find s.protocol = None then
-    Error (Printf.sprintf "unknown protocol %S" s.protocol)
-  else if s.adversary <> "none" && not (List.mem_assoc s.adversary (Ftc_fault.Strategy.all ()))
-  then Error (Printf.sprintf "unknown adversary %S" s.adversary)
-  else if s.n < 2 || s.n > max_n then
-    Error (Printf.sprintf "n must be in [2, %d] (got %d)" max_n s.n)
-  else if not (s.alpha >= 0. && s.alpha < 1.) then
-    Error (Printf.sprintf "alpha must be in [0, 1) (got %g)" s.alpha)
+  if s.n > max_n then Error (Printf.sprintf "n must be at most %d (got %d)" max_n s.n)
   else
-    match s.timeout_ms with
-    | Some t when t < 1 -> Error "timeout_ms must be positive"
-    | _ -> Ok ()
+    match Ftc_chaos.Case.validate (Supervisor.case_of_submit s) with
+    | Error e -> Error (Ftc_chaos.Case.error_to_string e)
+    | Ok _ -> (
+        match s.timeout_ms with
+        | Some t when t < 1 -> Error "timeout_ms must be positive"
+        | _ -> Ok ())
 
 let stats_kvs st =
   [

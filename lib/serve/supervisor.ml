@@ -1,6 +1,5 @@
 module Respawn = Ftc_parallel.Respawn
 module Case = Ftc_chaos.Case
-module Catalog = Ftc_chaos.Catalog
 module Flight = Ftc_telemetry.Flight
 
 type instance = {
@@ -66,76 +65,64 @@ let completions t =
 
 (* One instance = one chaos case, fault-free plan, adversary by name,
    inputs regenerated from the case seed exactly as [ftc sweep] does. *)
+let case_of_submit (s : Wire.submit) =
+  Case.of_seed ~protocol:s.protocol ~n:s.n ~alpha:s.alpha
+    ~adversary:(if s.adversary = "none" then None else Some s.adversary)
+    s.seed
+
 let run_instance t w inst =
   let s = inst.submit in
-  match Catalog.find s.protocol with
-  | None -> Exn (Printf.sprintf "unknown protocol %S" s.protocol)
-  | Some entry -> (
-      let case =
-        {
-          Case.protocol = s.protocol;
-          n = s.n;
-          alpha = s.alpha;
-          seed = s.seed;
-          inputs = Catalog.gen_inputs entry ~n:s.n ~seed:s.seed;
-          plan = [];
-          adversary = (if s.adversary = "none" then None else Some s.adversary);
-          loss = Ftc_fault.Omission.No_loss;
-          queue = None;
-          transport = false;
-        }
-      in
-      (* Injection decisions are per (ticket, attempt): a retried
-         instance rolls fresh dice, so a worker-killing instance does
-         not assassinate every replacement worker in turn. *)
-      let salt = (inst.ticket * 8) + inst.attempts in
-      let kill_instance = Inject.fire t.inject Inject.Kill_instance ~salt in
-      let kill_worker = Inject.fire t.inject Inject.Kill_worker ~salt in
-      let deadline =
-        now_ms () +. float_of_int (Option.value s.timeout_ms ~default:t.default_timeout_ms)
-      in
-      let killed = ref false in
-      let polls = ref 0 in
-      let watchdog () =
-        incr polls;
-        Atomic.set w.round !polls;
-        Flight.record t.flight (Flight.Round { ticket = inst.ticket; round = !polls });
-        if kill_worker && !polls >= 3 then begin
-          Inject.Counters.bump t.counters Inject.Kill_worker;
-          Flight.record t.flight
-            (Flight.Injected { kind = Inject.kind_to_string Inject.Kill_worker; ticket = inst.ticket });
-          raise (Worker_crash inst.ticket)
-        end;
-        if kill_instance && !polls >= 2 then begin
-          if not !killed then begin
-            Inject.Counters.bump t.counters Inject.Kill_instance;
-            Flight.record t.flight
-              (Flight.Injected
-                 { kind = Inject.kind_to_string Inject.Kill_instance; ticket = inst.ticket })
-          end;
-          killed := true;
-          true
-        end
-        else now_ms () > deadline
-      in
-      match Case.run ~watchdog case with
-      | Error e -> Exn (Case.error_to_string e)
-      | Ok ((result : Ftc_sim.Engine.result), findings) ->
-          if result.watchdog_expired then if !killed then Killed else Watchdog_expired
-          else
-            let detail =
-              findings
-              |> List.map (fun (f : Ftc_chaos.Oracle.finding) -> f.oracle ^ ": " ^ f.detail)
-              |> String.concat "; "
-            in
-            Finished
-              {
-                ok = findings = [];
-                detail;
-                rounds = result.rounds_used;
-                msgs = result.metrics.msgs_sent;
-                bits = result.metrics.bits_sent;
-              })
+  (* Injection decisions are per (ticket, attempt): a retried
+     instance rolls fresh dice, so a worker-killing instance does
+     not assassinate every replacement worker in turn. *)
+  let salt = (inst.ticket * 8) + inst.attempts in
+  let kill_instance = Inject.fire t.inject Inject.Kill_instance ~salt in
+  let kill_worker = Inject.fire t.inject Inject.Kill_worker ~salt in
+  let deadline =
+    now_ms () +. float_of_int (Option.value s.timeout_ms ~default:t.default_timeout_ms)
+  in
+  let killed = ref false in
+  let polls = ref 0 in
+  let watchdog () =
+    incr polls;
+    Atomic.set w.round !polls;
+    Flight.record t.flight (Flight.Round { ticket = inst.ticket; round = !polls });
+    if kill_worker && !polls >= 3 then begin
+      Inject.Counters.bump t.counters Inject.Kill_worker;
+      Flight.record t.flight
+        (Flight.Injected { kind = Inject.kind_to_string Inject.Kill_worker; ticket = inst.ticket });
+      raise (Worker_crash inst.ticket)
+    end;
+    if kill_instance && !polls >= 2 then begin
+      if not !killed then begin
+        Inject.Counters.bump t.counters Inject.Kill_instance;
+        Flight.record t.flight
+          (Flight.Injected
+             { kind = Inject.kind_to_string Inject.Kill_instance; ticket = inst.ticket })
+      end;
+      killed := true;
+      true
+    end
+    else now_ms () > deadline
+  in
+  match Case.run ~watchdog (case_of_submit s) with
+  | Error e -> Exn (Case.error_to_string e)
+  | Ok ((result : Ftc_sim.Engine.result), findings) ->
+      if result.watchdog_expired then if !killed then Killed else Watchdog_expired
+      else
+        let detail =
+          findings
+          |> List.map (fun (f : Ftc_chaos.Oracle.finding) -> f.oracle ^ ": " ^ f.detail)
+          |> String.concat "; "
+        in
+        Finished
+          {
+            ok = findings = [];
+            detail;
+            rounds = result.rounds_used;
+            msgs = result.metrics.msgs_sent;
+            bits = result.metrics.bits_sent;
+          }
 
 let worker_body t w () =
   let rec loop () =

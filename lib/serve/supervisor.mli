@@ -53,6 +53,11 @@ type outcome =
 
 type completion = { inst : instance; outcome : outcome; service_ms : float }
 
+val case_of_submit : Wire.submit -> Ftc_chaos.Case.t
+(** The chaos case a worker runs for a submit: no crash plan, the named
+    adversary (["none"] = none), inputs drawn from the seed exactly as
+    [ftc sweep] draws them. Admission validates this very case. *)
+
 val max_attempts : int
 (** Worker crashes an instance may survive before it fails (3). *)
 

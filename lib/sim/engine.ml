@@ -46,6 +46,11 @@ let default_config ~n ~alpha ~seed =
     round_clock = None;
   }
 
+let validate_model ~n ~alpha =
+  if n < 2 then Error "n must be at least 2"
+  else if not (alpha > 0. && alpha <= 1.) then Error "alpha must be in (0, 1]"
+  else Ok ()
+
 let max_faulty ~n ~alpha =
   let non_faulty = int_of_float (ceil (alpha *. float_of_int n)) in
   max 0 (n - min n non_faulty)

@@ -91,6 +91,11 @@ val default_config : n:int -> alpha:float -> seed:int -> config
 (** CONGEST limit at {!Congest.default_limit}, no trace, no adversary,
     reliable links, no ingress queues. *)
 
+val validate_model : n:int -> alpha:float -> (unit, string) Stdlib.result
+(** The paper's model: [n >= 2] nodes, of which at least [alpha n] stay
+    non-faulty, [0 < alpha <= 1]. The one statement of the rule: chaos
+    cases, the serve front-end and every [ftc] command check it here. *)
+
 val max_faulty : n:int -> alpha:float -> int
 (** [n - ceil(alpha * n)]: the largest faulty set leaving [alpha n]
     non-faulty nodes. *)

@@ -61,13 +61,11 @@ let make ?(keep_prefix_max = 2) ?(grid = false) ?(horizon = 0) ?fixed_inputs ~pr
     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
   in
   let* () =
-    if n < 2 || n > 8 then Error (Printf.sprintf "n must be in [2, 8] (got %d)" n) else Ok ()
+    Result.map_error
+      (fun e -> Printf.sprintf "%s (got n=%d, alpha=%g)" e n alpha)
+      (Ftc_sim.Engine.validate_model ~n ~alpha)
   in
-  let* () =
-    if alpha <= 0. || alpha > 1. then
-      Error (Printf.sprintf "alpha must be in (0, 1] (got %g)" alpha)
-    else Ok ()
-  in
+  let* () = if n > 8 then Error (Printf.sprintf "n must be at most 8 (got %d)" n) else Ok () in
   let* () =
     if keep_prefix_max < 0 || keep_prefix_max > n then
       Error (Printf.sprintf "keep-prefix-max must be in [0, n] (got %d)" keep_prefix_max)

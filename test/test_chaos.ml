@@ -461,6 +461,35 @@ let test_replay_parser_rejects_garbage () =
   Alcotest.(check bool) "bad version" true
     (Result.is_error (Chaos.Replay.of_string "ftc-chaos-replay 99\n"))
 
+(* A case's telemetry [ok] is the oracles' verdict, not the runner's
+   model health: crash-probe under first-send breaks agreement without
+   any model violation, and its one Trial event must say so. *)
+let test_case_telemetry_ok_is_oracle_verdict () =
+  let case seed =
+    Case.of_seed ~protocol:"crash-probe" ~n:8 ~alpha:0.7 ~adversary:(Some "first-send") seed
+  in
+  let failing =
+    List.find_opt
+      (fun seed -> Case.findings (case seed) <> [])
+      (List.init 20 (fun i -> i + 1))
+  in
+  match failing with
+  | None -> Alcotest.fail "no crash-probe first-send case with findings in seeds 1..20"
+  | Some seed -> (
+      let recorder = Ftc_telemetry.Recorder.create () in
+      match Case.run ~recorder (case seed) with
+      | Error e -> Alcotest.fail (Case.error_to_string e)
+      | Ok (r, findings) ->
+          Alcotest.(check bool) "oracle findings" true (findings <> []);
+          Alcotest.(check (list string)) "no model violation" []
+            (List.map Ftc_sim.Violation.to_string r.Engine.violations);
+          let trials =
+            List.filter_map
+              (function Ftc_telemetry.Recorder.Trial { ok; _ } -> Some ok | _ -> None)
+              (Ftc_telemetry.Recorder.events recorder)
+          in
+          Alcotest.(check (list bool)) "exactly one Trial event, not ok" [ false ] trials)
+
 (* -- the fuzzer -- *)
 
 let test_fuzz_deterministic_and_clean () =
@@ -516,6 +545,8 @@ let () =
           Alcotest.test_case "adversary validation" `Quick test_adversary_validation;
           Alcotest.test_case "faulty-probe violates, not fuzzed" `Quick
             test_faulty_probe_violates;
+          Alcotest.test_case "telemetry ok is the oracle verdict" `Quick
+            test_case_telemetry_ok_is_oracle_verdict;
         ] );
       ( "omission",
         [

@@ -565,17 +565,81 @@ let test_runner_fast_routing () =
   Alcotest.(check (array int)) "inputs agree" classic.Runner.inputs_used fast.Runner.inputs_used;
   check_same ~ctx:"runner fast routing" classic.Runner.result fast.Runner.result
 
-let test_runner_fast_rejects_transport () =
+(* The port cannot run under the transport (the wrapper transforms a
+   Protocol.S), so the runner takes the adapter there: a spec naming a
+   port runs exactly as the same spec without one. *)
+let test_runner_fast_under_transport () =
   let spec =
     {
-      (Runner.default_spec (Ftc_core.Leader_election.make params) ~n:16 ~alpha:0.7) with
-      Runner.transport = Some Ftc_transport.Transport.default_config;
-      fast_protocol = Some (Ftc_core.Leader_election_fast.make params);
+      (Runner.default_spec (Ftc_core.Leader_election.make params) ~n:32 ~alpha:0.7) with
+      adversary = Strategy.eager;
+      link = (fun () -> Omission.to_link (Omission.Uniform 0.05));
+      transport = Some Ftc_transport.Transport.default_config;
+      record_trace = true;
     }
   in
-  match Runner.run spec ~seed:1 with
-  | exception Invalid_argument _ -> ()
-  | (_ : Runner.outcome) -> Alcotest.fail "fast + transport spec should raise"
+  List.iter
+    (fun seed ->
+      let ctx = Printf.sprintf "transport seed %d" seed in
+      let plain = Runner.run spec ~seed in
+      let ported =
+        Runner.run
+          { spec with Runner.fast_protocol = Some (Ftc_core.Leader_election_fast.make params) }
+          ~seed
+      in
+      check_same ~ctx plain.Runner.result ported.Runner.result;
+      Alcotest.(check bool) (ctx ^ ": transport stats agree") true
+        (plain.Runner.transport_stats = ported.Runner.transport_stats))
+    [ 1; 2; 3 ]
+
+(* [Case.run] is validation, [Runner.run] and the oracles: for every
+   catalog protocol — fault-free, under an adversary, loss, a queue and
+   the transport — its result is the runner's on the case mapped to a
+   spec by hand. *)
+let test_case_run_is_runner_run () =
+  let spec_of (case : Chaos.Case.t) =
+    let entry = Option.get (Chaos.Catalog.find case.protocol) in
+    {
+      (Runner.default_spec (entry.Chaos.Catalog.make ()) ~n:case.n ~alpha:case.alpha) with
+      Runner.inputs = Runner.Exact case.inputs;
+      adversary =
+        (match case.adversary with
+        | Some name -> List.assoc name (Strategy.all ())
+        | None -> Strategy.none);
+      link = (fun () -> Omission.to_link case.loss);
+      queue = case.queue;
+      transport = (if case.transport then Some Ftc_transport.Transport.default_config else None);
+      record_trace = true;
+      fast_protocol = Option.map (fun mk -> mk ()) entry.Chaos.Catalog.fast;
+    }
+  in
+  let variants =
+    [
+      ("fault-free", Fun.id);
+      ("adversary", fun (c : Chaos.Case.t) -> { c with adversary = Some "random" });
+      ("loss", fun c -> { c with loss = Omission.Uniform 0.1 });
+      ("queue", fun c -> { c with queue = snd queues.(1) });
+      ("transport", fun c -> { c with loss = Omission.Uniform 0.05; transport = true });
+    ]
+  in
+  List.iter
+    (fun (entry : Chaos.Catalog.entry) ->
+      List.iter
+        (fun (tag, vary) ->
+          List.iter
+            (fun seed ->
+              let case =
+                vary
+                  (Chaos.Case.of_seed ~protocol:entry.name ~n:24 ~alpha:0.7 ~adversary:None seed)
+              in
+              let ctx = Printf.sprintf "%s %s seed %d" entry.name tag seed in
+              match Chaos.Case.run case with
+              | Error e -> Alcotest.failf "%s: %s" ctx (Chaos.Case.error_to_string e)
+              | Ok (result, _) ->
+                  check_same ~ctx (Runner.run (spec_of case) ~seed).Runner.result result)
+            [ 1; 2 ])
+        variants)
+    (Chaos.Catalog.all @ Chaos.Catalog.extras)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regression: aggregation over an empty trial list.        *)
@@ -628,8 +692,10 @@ let () =
         [
           Alcotest.test_case "fast_protocol spec routes to the fast engine" `Quick
             test_runner_fast_routing;
-          Alcotest.test_case "fast + transport is rejected" `Quick
-            test_runner_fast_rejects_transport;
+          Alcotest.test_case "fast_protocol under transport runs the adapter" `Quick
+            test_runner_fast_under_transport;
+          Alcotest.test_case "Case.run equals Runner.run on the mapped spec" `Quick
+            test_case_run_is_runner_run;
           Alcotest.test_case "aggregate of no trials is the zero aggregate" `Quick
             test_aggregate_empty;
           Alcotest.test_case "aggregate of one trial" `Quick test_aggregate_singleton;

@@ -392,7 +392,10 @@ let test_transport_ladder () =
 
 (* ---- end to end ---- *)
 
-let test_end_to_end () =
+(* A real server in its own domain on a fresh unix socket: [f] gets the
+   address once the socket is bound; then the server is drained and its
+   summary returned with [f]'s result. *)
+let with_live_server f =
   let path = Filename.temp_file "ftc-serve-test" ".sock" in
   Sys.remove path;
   let drain = Atomic.make false in
@@ -411,15 +414,21 @@ let test_end_to_end () =
       end
   in
   wait_bind 250;
-  let ccfg =
-    { (Client.default_config (Server.Unix_sock path)) with total = 8; n = 16; base_seed = 100; overall_timeout_ms = 60_000 }
-  in
-  let stats =
-    match Client.run ccfg with Ok s -> s | Error e -> Alcotest.failf "client: %s" e
-  in
+  let x = f (Server.Unix_sock path) in
   Atomic.set drain true;
   let summary =
     match Domain.join server with Ok s -> s | Error e -> Alcotest.failf "server: %s" e
+  in
+  if Sys.file_exists path then Sys.remove path;
+  (x, summary)
+
+let run_client ccfg = match Client.run ccfg with Ok s -> s | Error e -> Alcotest.failf "client: %s" e
+
+let test_end_to_end () =
+  let stats, summary =
+    with_live_server (fun addr ->
+        run_client
+          { (Client.default_config addr) with total = 8; n = 16; base_seed = 100; overall_timeout_ms = 60_000 })
   in
   Alcotest.(check int) "every submit ran" 8 stats.Client.results;
   Alcotest.(check int) "no model violations" 0 stats.Client.result_violations;
@@ -428,8 +437,29 @@ let test_end_to_end () =
   Alcotest.(check int) "server accepted all" 8 summary.Server.accepted;
   Alcotest.(check int) "server replied to all" 8 summary.Server.results;
   Alcotest.(check int) "exactly-one-reply: ledger empty" 0 summary.Server.lost;
-  Alcotest.(check int) "server exit 0" 0 (Server.exit_code summary);
-  if Sys.file_exists path then Sys.remove path
+  Alcotest.(check int) "server exit 0" 0 (Server.exit_code summary)
+
+(* Admission applies the case rule (0 < alpha <= 1) to the case the
+   worker would run: alpha = 0 is rejected before it is ever accepted,
+   and alpha = 1 — no crash budget at all — runs to a result. *)
+let test_admission_uses_case_rule () =
+  let (zero, one), summary =
+    with_live_server (fun addr ->
+        let submit alpha =
+          run_client
+            { (Client.default_config addr) with total = 1; n = 16; alpha; overall_timeout_ms = 60_000 }
+        in
+        let zero = submit 0. in
+        let one = submit 1. in
+        (zero, one))
+  in
+  Alcotest.(check int) "alpha 0 rejected" 1 zero.Client.rejected;
+  Alcotest.(check int) "alpha 0 never accepted" 0 zero.Client.accepted;
+  Alcotest.(check int) "alpha 1 accepted" 1 one.Client.accepted;
+  Alcotest.(check int) "alpha 1 ran to a result" 1 one.Client.results;
+  Alcotest.(check int) "alpha 1 not rejected" 0 one.Client.rejected;
+  Alcotest.(check int) "server rejected one" 1 summary.Server.rejected;
+  Alcotest.(check int) "server replied to the other" 1 summary.Server.results
 
 (* ---- ftc top ---- *)
 
@@ -447,77 +477,57 @@ let test_top_against_live_server () =
      engine polling it over the socket, frames captured through
      [config.out]. Two samples so the second has a rate/restart
      baseline; the client load in between gives the counters motion. *)
-  let path = Filename.temp_file "ftc-top-test" ".sock" in
-  Sys.remove path;
-  let drain = Atomic.make false in
-  let cfg =
-    { (Server.default_config (Server.Unix_sock path)) with workers = 2; bound = 32; default_timeout_ms = 10_000; grace_ms = 10_000 }
+  let (), _summary =
+    with_live_server (fun addr ->
+        ignore
+          (run_client
+             { (Client.default_config addr) with total = 4; n = 16; base_seed = 7; overall_timeout_ms = 60_000 });
+        let frames = Buffer.create 1024 in
+        let tcfg =
+          {
+            (Top.default_config addr) with
+            Top.interval_ms = 50;
+            iterations = 2;
+            mode = Top.Raw;
+            out = Buffer.add_string frames;
+          }
+        in
+        (match Top.run tcfg with
+        | Ok n -> Alcotest.(check int) "two samples" 2 n
+        | Error e -> Alcotest.failf "top: %s" e);
+        let out = Buffer.contents frames in
+        let has needle =
+          Alcotest.(check bool) (Printf.sprintf "dashboard mentions %S" needle) true
+            (Astring.String.is_infix ~affix:needle out)
+        in
+        has "ftc top -- ";
+        has (Printf.sprintf "protocol v%d" Wire.protocol_version);
+        (* Both workers are listed with live state, and the 4 terminal replies
+           the client collected show up in the counters. *)
+        has "w0";
+        has "w1";
+        has "results=4";
+        has "inject  ";
+        has "latency p50";
+        (* JSON mode emits the raw introspect reply — the stable machine
+           surface — one line per sample, and it must decode back. *)
+        let json_lines = Buffer.create 1024 in
+        let jcfg =
+          { tcfg with Top.iterations = 1; mode = Top.Json; out = Buffer.add_string json_lines }
+        in
+        (match Top.run jcfg with
+        | Ok n -> Alcotest.(check int) "one json sample" 1 n
+        | Error e -> Alcotest.failf "top --json: %s" e);
+        (match Json.of_string (String.trim (Buffer.contents json_lines)) with
+        | Error e -> Alcotest.failf "top --json emitted bad JSON: %s" e
+        | Ok j -> (
+            match Wire.reply_of_json j with
+            | Ok (Wire.Introspect_reply i) ->
+                Alcotest.(check int) "two workers in view" 2 (List.length i.Wire.workers)
+            | Ok _ -> Alcotest.fail "top --json line is not an introspect reply"
+            | Error e -> Alcotest.failf "top --json line does not decode: %s" e)))
   in
-  let server = Domain.spawn (fun () -> Server.run ~drain cfg) in
-  let rec wait_bind tries =
-    if not (Sys.file_exists path) then
-      if tries = 0 then Alcotest.fail "server never bound its socket"
-      else begin
-        Unix.sleepf 0.02;
-        wait_bind (tries - 1)
-      end
-  in
-  wait_bind 250;
-  let ccfg =
-    { (Client.default_config (Server.Unix_sock path)) with total = 4; n = 16; base_seed = 7; overall_timeout_ms = 60_000 }
-  in
-  (match Client.run ccfg with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "client: %s" e);
-  let frames = Buffer.create 1024 in
-  let tcfg =
-    {
-      (Top.default_config (Server.Unix_sock path)) with
-      Top.interval_ms = 50;
-      iterations = 2;
-      mode = Top.Raw;
-      out = Buffer.add_string frames;
-    }
-  in
-  (match Top.run tcfg with
-  | Ok n -> Alcotest.(check int) "two samples" 2 n
-  | Error e -> Alcotest.failf "top: %s" e);
-  let out = Buffer.contents frames in
-  let has needle =
-    Alcotest.(check bool) (Printf.sprintf "dashboard mentions %S" needle) true
-      (Astring.String.is_infix ~affix:needle out)
-  in
-  has "ftc top -- ";
-  has (Printf.sprintf "protocol v%d" Wire.protocol_version);
-  (* Both workers are listed with live state, and the 4 terminal replies
-     the client collected show up in the counters. *)
-  has "w0";
-  has "w1";
-  has "results=4";
-  has "inject  ";
-  has "latency p50";
-  (* JSON mode emits the raw introspect reply — the stable machine
-     surface — one line per sample, and it must decode back. *)
-  let json_lines = Buffer.create 1024 in
-  let jcfg =
-    { tcfg with Top.iterations = 1; mode = Top.Json; out = Buffer.add_string json_lines }
-  in
-  (match Top.run jcfg with
-  | Ok n -> Alcotest.(check int) "one json sample" 1 n
-  | Error e -> Alcotest.failf "top --json: %s" e);
-  (match Json.of_string (String.trim (Buffer.contents json_lines)) with
-  | Error e -> Alcotest.failf "top --json emitted bad JSON: %s" e
-  | Ok j -> (
-      match Wire.reply_of_json j with
-      | Ok (Wire.Introspect_reply i) ->
-          Alcotest.(check int) "two workers in view" 2 (List.length i.Wire.workers)
-      | Ok _ -> Alcotest.fail "top --json line is not an introspect reply"
-      | Error e -> Alcotest.failf "top --json line does not decode: %s" e));
-  Atomic.set drain true;
-  (match Domain.join server with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" e);
-  if Sys.file_exists path then Sys.remove path
+  ()
 
 let () =
   Alcotest.run "serve"
@@ -556,7 +566,12 @@ let () =
           Alcotest.test_case "crash budget under kill-worker:1.0" `Quick test_supervisor_crash_budget;
         ] );
       ("backoff", [ Alcotest.test_case "transport ladder" `Quick test_transport_ladder ]);
-      ("end-to-end", [ Alcotest.test_case "serve + client over a unix socket" `Quick test_end_to_end ]);
+      ( "end-to-end",
+        [
+          Alcotest.test_case "serve + client over a unix socket" `Quick test_end_to_end;
+          Alcotest.test_case "admission applies the case rule" `Quick
+            test_admission_uses_case_rule;
+        ] );
       ( "top",
         [
           Alcotest.test_case "sparkline rendering" `Quick test_top_spark;
