@@ -289,28 +289,35 @@ let telemetry_arg =
           "Record telemetry — phase spans along the protocol's calendar, per-trial events, \
            pool utilisation, sweep heartbeats and the metric registry — and write \
            $(docv)/events.jsonl, trace.json (Chrome trace-event JSON, loadable in Perfetto) \
-           and metrics.prom on exit. Inspect with $(b,ftc trace summary) $(docv). Telemetry \
-           writes only to $(docv) and stderr; stdout is byte-identical to an uninstrumented \
-           run.")
+           and metrics.prom on exit. $(b,ftc serve) keeps its events in the bounded \
+           flight ring instead (see $(b,--flight-capacity)) and writes the ring's window. \
+           Inspect with $(b,ftc trace summary) $(docv). Telemetry writes only to $(docv) and \
+           stderr; stdout is byte-identical to an uninstrumented run.")
 
-(* The recorder and flight ring for a --telemetry run, plus the flush
-   that writes the artifacts once the sweep is done. Telemetry never
+(* The recorder for a --telemetry run, plus the flush that writes the
+   artifacts once the run is done: the recorder's log, or for a service
+   the window of its [ring] with the recorder's metrics. Telemetry never
    touches stdout — the note goes to stderr — so reference/resumed
    stdout diffs stay clean with telemetry on. *)
-let blackbox_file = "blackbox.jsonl"
-
-let with_telemetry ?(flight_capacity = 4096) dir f =
+let with_telemetry ?ring dir f =
+  let open Ftc_telemetry in
   match dir with
-  | None -> f Ftc_telemetry.Recorder.disabled Ftc_telemetry.Flight.disabled
+  | None -> f Recorder.disabled
   | Some dir ->
-      let recorder = Ftc_telemetry.Recorder.create () in
-      let flight = Ftc_telemetry.Flight.create ~capacity:flight_capacity in
-      let code = f recorder flight in
-      Ftc_telemetry.Export.write_dir ~dir recorder;
-      Ftc_telemetry.Flight.dump flight ~path:(Filename.concat dir blackbox_file)
-        ~reason:"sweep-end";
-      Printf.eprintf "telemetry: wrote %s/{%s,%s,%s,%s}\n" dir Ftc_telemetry.Export.events_file
-        Ftc_telemetry.Export.trace_file Ftc_telemetry.Export.prom_file blackbox_file;
+      let recorder = Recorder.create () in
+      let code = f recorder in
+      let file =
+        match ring with
+        | None -> Recorder.log recorder
+        | Some ring ->
+            {
+              (Flight.window ring ~reason:"serve-exit") with
+              metrics = Registry.snapshot (Recorder.registry recorder);
+            }
+      in
+      Export.write_dir ~dir file;
+      Printf.eprintf "telemetry: wrote %s/{%s,%s,%s}\n" dir Export.events_file Export.trace_file
+        Export.prom_file;
       code
 
 (* A non-positive per-trial budget is a usage error (exit 2). *)
@@ -320,8 +327,7 @@ let parse_trial_timeout = function
       exit 2
   | t -> t
 
-let supervise_config ?(stop = fun () -> false)
-    ?(flight = Ftc_telemetry.Flight.disabled) ~recorder ~jobs ~keep_going ~journal ~resume
+let supervise_config ?(stop = fun () -> false) ~recorder ~jobs ~keep_going ~journal ~resume
     ~quarantine () =
   let journal, resume =
     match (journal, resume) with
@@ -338,7 +344,6 @@ let supervise_config ?(stop = fun () -> false)
     resume;
     quarantine = Some quarantine;
     recorder;
-    flight;
     stop;
   }
 
@@ -492,9 +497,9 @@ let supervised_trials ~cmd ~explicit ~hash_lines ~protocol ?fast_protocol ~input
       prerr_endline e;
       1
   | Ok adversary ->
-      with_telemetry telemetry @@ fun recorder flight ->
+      with_telemetry telemetry @@ fun recorder ->
       let config =
-        supervise_config ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
+        supervise_config ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
       in
       let spec =
         {
@@ -572,7 +577,7 @@ let sweep protocol_name n alpha seed adversary_name trials loss loss_model queue
       prerr_endline (Ftc_chaos.Case.error_to_string e);
       exit 2
   | Ok _ -> ());
-  with_telemetry telemetry @@ fun recorder flight ->
+  with_telemetry telemetry @@ fun recorder ->
   (* SIGTERM = drain, mirroring ftc serve: stop admitting queued trials,
      let running ones finish and be journaled (the WAL already flushes
      per trial, so the checkpoint is free), exit 3 for partial results.
@@ -588,7 +593,7 @@ let sweep protocol_name n alpha seed adversary_name trials loss loss_model queue
   let config =
     supervise_config
       ~stop:(fun () -> Atomic.get sigterm)
-      ~flight ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
+      ~recorder ~jobs ~keep_going ~journal ~resume ~quarantine ()
   in
   let spec_hash =
     spec_hash_of
@@ -817,7 +822,7 @@ let verify protocols n alpha horizon keep_prefix_max grid seeds_per_state seed j
     prerr_endline "verify: --journal/--resume need a single --protocol (one journal per space)";
     exit 2
   end;
-  with_telemetry telemetry @@ fun recorder _flight ->
+  with_telemetry telemetry @@ fun recorder ->
   let codes =
     List.map
       (fun protocol ->
@@ -1137,13 +1142,17 @@ let trace_check ~dir ~bad name validate what =
           Printf.printf "%s: INVALID (%s)\n" name e;
           bad := true)
 
+let load_trace dir =
+  Ftc_telemetry.Event.load ~path:(Filename.concat dir Ftc_telemetry.Export.events_file)
+  |> Result.map_error (Printf.sprintf "%s/%s: %s" dir Ftc_telemetry.Export.events_file)
+
 let trace_summary dir =
-  match Ftc_telemetry.Export.load_dir ~dir with
+  match load_trace dir with
   | Error e ->
       Printf.eprintf "trace: %s\n" e;
       2
-  | Ok (metrics, events) ->
-      print_string (Ftc_telemetry.Export.summary ~metrics ~events);
+  | Ok file ->
+      print_string (Ftc_telemetry.Export.summary file);
       let bad = ref false in
       trace_check ~dir ~bad Ftc_telemetry.Export.trace_file
         Ftc_telemetry.Export.validate_trace_json "events";
@@ -1152,12 +1161,12 @@ let trace_summary dir =
       if !bad then 1 else 0
 
 let trace_export dir =
-  match Ftc_telemetry.Export.load_dir ~dir with
+  match load_trace dir with
   | Error e ->
       Printf.eprintf "trace: %s\n" e;
       2
-  | Ok (metrics, events) ->
-      Ftc_telemetry.Export.export_files ~dir ~metrics ~events;
+  | Ok file ->
+      Ftc_telemetry.Export.write_dir ~dir file;
       Printf.printf "regenerated %s/{%s,%s} from %s\n" dir Ftc_telemetry.Export.trace_file
         Ftc_telemetry.Export.prom_file Ftc_telemetry.Export.events_file;
       0
@@ -1206,14 +1215,14 @@ let serve socket tcp workers bound timeout_ms grace_ms inject inject_seed teleme
     Printf.eprintf "--flight-capacity must be at least 1 (got %d)\n" flight_capacity;
     exit 2
   end;
-  with_telemetry ~flight_capacity telemetry @@ fun recorder tflight ->
-  (* One ring serves both planes: --telemetry gets it dumped into the
-     telemetry dir at exit, --blackbox gets it dumped on every trigger. *)
+  (* One ring serves both planes: --telemetry writes its window into
+     the telemetry dir at exit, --blackbox dumps it on every trigger. *)
   let flight =
-    if Ftc_telemetry.Flight.enabled tflight then tflight
-    else if blackbox <> None then Ftc_telemetry.Flight.create ~capacity:flight_capacity
+    if telemetry <> None || blackbox <> None then
+      Ftc_telemetry.Flight.create ~capacity:flight_capacity
     else Ftc_telemetry.Flight.disabled
   in
+  with_telemetry ~ring:flight telemetry @@ fun recorder ->
   let drain = Atomic.make false in
   let dump_signal = Atomic.make false in
   List.iter
@@ -1275,7 +1284,7 @@ let top socket tcp interval_ms iterations raw json =
 (* -- blackbox command -- *)
 
 let load_blackbox file =
-  match Ftc_telemetry.Flight.load ~path:file with
+  match Ftc_telemetry.Event.load ~path:file with
   | Ok d -> d
   | Error e ->
       Printf.eprintf "blackbox: %s: %s\n" file e;
@@ -1283,10 +1292,10 @@ let load_blackbox file =
 
 let blackbox_validate file =
   let d = load_blackbox file in
-  match Ftc_telemetry.Flight.check d with
+  match Ftc_telemetry.Event.check d with
   | Ok () ->
       Printf.printf "blackbox ok: version=%d reason=%s capacity=%d recorded=%d dropped=%d entries=%d\n"
-        d.Ftc_telemetry.Flight.version d.reason d.capacity_ d.recorded d.dropped_
+        Ftc_telemetry.Event.file_version d.reason d.capacity_ d.recorded d.dropped_
         (List.length d.entries);
       0
   | Error e ->
@@ -1295,14 +1304,14 @@ let blackbox_validate file =
 
 let blackbox_summary file =
   let d = load_blackbox file in
-  let open Ftc_telemetry.Flight in
+  let open Ftc_telemetry.Event in
   Printf.printf "black box %s: reason=%s recorded=%d dropped=%d window=%d\n" file d.reason
     d.recorded d.dropped_ (List.length d.entries);
   let kinds = Hashtbl.create 16 in
   let tickets = Hashtbl.create 64 in
   List.iter
     (fun e ->
-      let k = ev_kind e.ev in
+      let k = kind e.ev in
       Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k));
       match ticket_of e.ev with
       | Some t -> Hashtbl.replace tickets t ()
@@ -1326,8 +1335,8 @@ let blackbox_summary file =
 
 let blackbox_timeline file ticket =
   let d = load_blackbox file in
-  let open Ftc_telemetry.Flight in
-  match timeline d.entries ~ticket with
+  let open Ftc_telemetry.Event in
+  match Ftc_telemetry.Flight.timeline d.entries ~ticket with
   | [] ->
       Printf.printf "ticket %d: no events in the surviving window (dropped=%d)\n" ticket
         d.dropped_;
@@ -1338,7 +1347,7 @@ let blackbox_timeline file ticket =
         (fun e ->
           Printf.printf "  [%6d] %8.1f ms  %s\n" e.seq
             (Int64.to_float e.at_ns /. 1e6)
-            (pp_ev e.ev))
+            (pp e.ev))
         tl;
       0
 
@@ -1640,7 +1649,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "blackbox" ] ~docv:"FILE"
           ~doc:
-            "Enable the flight recorder and dump its ring to $(docv) (versioned JSONL) on \
+            "Enable the flight recorder and dump its ring to $(docv) (an event file) on \
              watchdog fire, worker crash, SIGQUIT, and at drain (reason $(b,ledger-residue) \
              when replies were lost, $(b,clean-drain) otherwise). Inspect with \
              $(b,ftc blackbox).")
@@ -1651,9 +1660,10 @@ let serve_cmd =
       & opt int 4096
       & info [ "flight-capacity" ] ~docv:"K"
           ~doc:
-            "Flight-recorder ring capacity in events: memory is preallocated and bounded; \
-             under sustained load the oldest events are overwritten (the dump header counts \
-             them as $(b,dropped)).")
+            "Flight-recorder ring capacity in events, for $(b,--blackbox) and \
+             $(b,--telemetry) alike: memory is preallocated and bounded; under sustained load \
+             the oldest events are overwritten (the file header counts them as \
+             $(b,dropped)).")
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
@@ -1705,8 +1715,9 @@ let blackbox_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A black-box JSONL file dumped by $(b,ftc serve --blackbox) \
-                                   or a $(b,--telemetry) run.")
+      & info [] ~docv:"FILE"
+          ~doc:"An event file: a black box dumped by $(b,ftc serve --blackbox), or the \
+                events.jsonl of a $(b,--telemetry) run.")
   in
   let validate_cmd =
     let doc =

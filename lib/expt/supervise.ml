@@ -28,7 +28,6 @@ type config = {
   resume : bool;
   quarantine : string option;
   recorder : Ftc_telemetry.Recorder.t;
-  flight : Ftc_telemetry.Flight.t;
   stop : unit -> bool;
 }
 
@@ -40,7 +39,6 @@ let default_config =
     resume = false;
     quarantine = None;
     recorder = Ftc_telemetry.Recorder.disabled;
-    flight = Ftc_telemetry.Flight.disabled;
     stop = (fun () -> false);
   }
 
@@ -109,27 +107,33 @@ let run config ~spec_hash ~encode ~decode ?(replay_doc = fun _ -> None) ~run_tri
           (fun () -> Journal.append h (encode seed payload))
   in
   (* Sweep progress telemetry: per-trial outcome counters and one
-     heartbeat event per finished trial (the atomics make the running
-     totals race-free across pool workers). Journaled resume hits count
-     as already completed. *)
+     heartbeat event per finished trial, carrying its seed and outcome
+     class (the atomics make the running totals race-free across pool
+     workers). Journaled resume hits count as already completed. *)
   let recorder = config.recorder in
   let reg = Ftc_telemetry.Recorder.registry recorder in
   let total = List.length seeds in
   let done_count = Atomic.make (total - List.length to_run) in
   let failed_count = Atomic.make 0 in
-  let heartbeat outcome =
+  let heartbeat seed outcome =
     if Ftc_telemetry.Recorder.enabled recorder then begin
-      (match outcome with
-      | Completed _ ->
-          Atomic.incr done_count;
-          Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_completed_total" 1
-      | Failed f ->
-          Atomic.incr failed_count;
-          Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_failed_total" 1;
-          Ftc_telemetry.Registry.incr reg
-            ("ftc_sweep_failures_" ^ class_to_string f.class_ ^ "_total")
-            1
-      | Skipped -> Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_skipped_total" 1);
+      let class_ =
+        match outcome with
+        | Completed _ ->
+            Atomic.incr done_count;
+            Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_completed_total" 1;
+            "completed"
+        | Failed f ->
+            Atomic.incr failed_count;
+            Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_failed_total" 1;
+            Ftc_telemetry.Registry.incr reg
+              ("ftc_sweep_failures_" ^ class_to_string f.class_ ^ "_total")
+              1;
+            class_to_string f.class_
+        | Skipped ->
+            Ftc_telemetry.Registry.incr reg "ftc_sweep_trials_skipped_total" 1;
+            "skipped"
+      in
       Ftc_telemetry.Recorder.emit recorder
         (Ftc_telemetry.Recorder.Heartbeat
            {
@@ -137,25 +141,13 @@ let run config ~spec_hash ~encode ~decode ?(replay_doc = fun _ -> None) ~run_tri
              completed = Atomic.get done_count;
              failed = Atomic.get failed_count;
              total;
+             verdict = Some (seed, class_);
            })
     end
   in
-  let record_flight seed outcome =
-    Ftc_telemetry.Flight.record config.flight
-      (Ftc_telemetry.Flight.Trial
-         {
-           seed;
-           class_ =
-             (match outcome with
-             | Completed _ -> "completed"
-             | Failed f -> class_to_string f.class_
-             | Skipped -> "skipped");
-         })
-  in
   let one seed =
     if Atomic.get abort || config.stop () then begin
-      heartbeat Skipped;
-      record_flight seed Skipped;
+      heartbeat seed Skipped;
       (seed, Skipped)
     end
     else
@@ -175,8 +167,7 @@ let run config ~spec_hash ~encode ~decode ?(replay_doc = fun _ -> None) ~run_tri
       (match outcome with
       | Failed _ when not config.keep_going -> Atomic.set abort true
       | _ -> ());
-      heartbeat outcome;
-      record_flight seed outcome;
+      heartbeat seed outcome;
       (seed, outcome)
   in
   let fresh =

@@ -49,14 +49,10 @@ type config = {
           {e same} spec: load it, skip its seeds, append the rest. *)
   quarantine : string option;  (** Where failed trials are recorded. *)
   recorder : Ftc_telemetry.Recorder.t;
-      (** Sweep telemetry sink: one [Heartbeat] event and outcome
-          counter per finished trial, plus a pool monitor on the
-          worker pool. Default: the disabled recorder (zero cost). *)
-  flight : Ftc_telemetry.Flight.t;
-      (** Flight-recorder ring: one [Trial] event per finished trial
-          (outcome class), recorded from the pool workers. The driver
-          dumps the ring as a black box next to the telemetry
-          artifacts. Default: the disabled ring (one bool test). *)
+      (** Sweep telemetry sink: per finished trial, one outcome counter
+          and one [Heartbeat] naming its seed and outcome class, plus a
+          pool monitor on the worker pool. Default: the disabled
+          recorder (zero cost). *)
   stop : unit -> bool;
       (** Polled before each queued trial starts; once true, remaining
           trials come back [Skipped] while running ones finish and are

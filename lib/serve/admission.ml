@@ -42,11 +42,12 @@ let hint_unlocked t =
 
 type admit_outcome = Admitted | Shed_full of int | Shed_draining of int
 
-let admit t x =
+let admit ?(on_admit = ignore) t x =
   locked t (fun () ->
       if t.draining then Shed_draining (hint_unlocked t)
       else if open_unlocked t >= t.bound then Shed_full (hint_unlocked t)
       else begin
+        on_admit ();
         Queue.push x t.pending;
         let o = open_unlocked t in
         if o > t.peak_open then t.peak_open <- o;

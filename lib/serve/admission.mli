@@ -34,7 +34,10 @@ type admit_outcome =
   | Shed_full of int  (** Bound hit; the retry-after hint, ms. *)
   | Shed_draining of int  (** Admission stopped; hint covers the backlog. *)
 
-val admit : 'a t -> 'a -> admit_outcome
+val admit : ?on_admit:(unit -> unit) -> 'a t -> 'a -> admit_outcome
+(** [on_admit] runs once the submit is admitted but before any {!take}
+    can see it, so whatever it records precedes the worker's view of
+    the instance. It does not run for a shed submit. *)
 
 val take : 'a t -> 'a option
 (** Next pending instance, front first; blocks while the queue is empty

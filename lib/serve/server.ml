@@ -221,13 +221,15 @@ let handle_submit st c (s : Wire.submit) =
           enqueued_at = Unix.gettimeofday ();
         }
       in
-      match Admission.admit st.queue inst with
+      let on_admit () =
+        Flight.record (flight st)
+          (Flight.Admitted { ticket; id = s.id; protocol = s.protocol; n = s.n; seed = s.seed })
+      in
+      match Admission.admit ~on_admit st.queue inst with
       | Admission.Admitted ->
           Hashtbl.replace st.ledger ticket inst;
           st.n_accepted <- st.n_accepted + 1;
           count st "serve/accepted" 1;
-          Flight.record (flight st)
-            (Flight.Admitted { ticket; id = s.id; protocol = s.protocol; n = s.n; seed = s.seed });
           st.cfg.log (Printf.sprintf "admit ticket=%d id=%s protocol=%s" ticket s.id s.protocol);
           send st c (Wire.Accepted { id = s.id; ticket })
       | Admission.Shed_full retry_after_ms ->
@@ -378,10 +380,10 @@ let process_completion st (comp : Supervisor.completion) =
   | Supervisor.Finished { ok; rounds; msgs; bits; _ } ->
       st.n_results <- st.n_results + 1;
       count st "serve/results" 1;
-      if Recorder.enabled st.cfg.recorder then begin
+      if Flight.enabled (flight st) then begin
         let dur_ns = Int64.of_float (comp.service_ms *. 1e6) in
-        Recorder.emit st.cfg.recorder
-          (Recorder.Trial
+        Flight.record (flight st)
+          (Flight.Trial
              {
                track = "serve";
                protocol = comp.inst.submit.protocol;
@@ -390,7 +392,7 @@ let process_completion st (comp : Supervisor.completion) =
                msgs;
                bits;
                rounds;
-               start_ns = Int64.sub (Recorder.now_ns st.cfg.recorder) dur_ns;
+               start_ns = Int64.sub (Flight.now_ns (flight st)) dur_ns;
                dur_ns;
              })
       end

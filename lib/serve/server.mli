@@ -32,8 +32,12 @@ type config = {
   grace_ms : int;  (** Drain: how long to wait for workers after quiescence. *)
   inject : Inject.t;
   recorder : Ftc_telemetry.Recorder.t;
+      (** Only its metric registry is used: the server emits no events
+          into the recorder's unbounded log. *)
   flight : Ftc_telemetry.Flight.t;
-      (** Flight-recorder ring shared with the supervisor's workers. *)
+      (** The bounded event ring, shared with the supervisor's workers:
+          the service events, plus one [Trial] per finished instance.
+          [ftc serve --telemetry] writes its window on exit. *)
   blackbox : string option;
       (** Where to dump the ring. Triggers: watchdog fire, worker
           crash, SIGQUIT (via [dump_signal]), and at drain —

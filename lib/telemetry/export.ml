@@ -1,211 +1,6 @@
 module Json = Ftc_journal.Json
 
 (* ------------------------------------------------------------------ *)
-(* Event/metric <-> JSON codecs, one object per line in events.jsonl.  *)
-
-let i64 v = Json.Int (Int64.to_int v)
-
-let span_to_json (s : Span.t) =
-  Json.Obj
-    [
-      ("ev", Json.String "span");
-      ("protocol", Json.String s.protocol);
-      ("track", Json.String s.track);
-      ("phase", Json.String s.phase);
-      ("start_round", Json.Int s.start_round);
-      ("end_round", Json.Int s.end_round);
-      ("msgs", Json.Int s.msgs);
-      ("bits", Json.Int s.bits);
-      ("start_ns", i64 s.start_ns);
-      ("dur_ns", i64 s.dur_ns);
-    ]
-
-let event_to_json = function
-  | Recorder.Span s -> span_to_json s
-  | Recorder.Trial { track; protocol; seed; ok; msgs; bits; rounds; start_ns; dur_ns } ->
-      Json.Obj
-        [
-          ("ev", Json.String "trial");
-          ("track", Json.String track);
-          ("protocol", Json.String protocol);
-          ("seed", Json.Int seed);
-          ("ok", Json.Bool ok);
-          ("msgs", Json.Int msgs);
-          ("bits", Json.Int bits);
-          ("rounds", Json.Int rounds);
-          ("start_ns", i64 start_ns);
-          ("dur_ns", i64 dur_ns);
-        ]
-  | Recorder.Job { pool; worker; start_ns; dur_ns; wait_ns } ->
-      Json.Obj
-        [
-          ("ev", Json.String "job");
-          ("pool", Json.String pool);
-          ("worker", Json.Int worker);
-          ("start_ns", i64 start_ns);
-          ("dur_ns", i64 dur_ns);
-          ("wait_ns", i64 wait_ns);
-        ]
-  | Recorder.Heartbeat { at_ns; completed; failed; total } ->
-      Json.Obj
-        [
-          ("ev", Json.String "heartbeat");
-          ("at_ns", i64 at_ns);
-          ("completed", Json.Int completed);
-          ("failed", Json.Int failed);
-          ("total", Json.Int total);
-        ]
-
-let get_int k j = Option.bind (Json.member k j) Json.to_int
-let get_str k j = Option.bind (Json.member k j) Json.to_str
-let get_bool k j = Option.bind (Json.member k j) Json.to_bool
-let get_i64 k j = Option.map Int64.of_int (get_int k j)
-
-let ( let* ) = Option.bind
-
-let event_of_json j =
-  let* ev = get_str "ev" j in
-  match ev with
-  | "span" ->
-      let* protocol = get_str "protocol" j in
-      let* track = get_str "track" j in
-      let* phase = get_str "phase" j in
-      let* start_round = get_int "start_round" j in
-      let* end_round = get_int "end_round" j in
-      let* msgs = get_int "msgs" j in
-      let* bits = get_int "bits" j in
-      let* start_ns = get_i64 "start_ns" j in
-      let* dur_ns = get_i64 "dur_ns" j in
-      Some
-        (Recorder.Span
-           { Span.protocol; track; phase; start_round; end_round; msgs; bits; start_ns; dur_ns })
-  | "trial" ->
-      let* track = get_str "track" j in
-      let* protocol = get_str "protocol" j in
-      let* seed = get_int "seed" j in
-      let* ok = get_bool "ok" j in
-      let* msgs = get_int "msgs" j in
-      let* bits = get_int "bits" j in
-      let* rounds = get_int "rounds" j in
-      let* start_ns = get_i64 "start_ns" j in
-      let* dur_ns = get_i64 "dur_ns" j in
-      Some (Recorder.Trial { track; protocol; seed; ok; msgs; bits; rounds; start_ns; dur_ns })
-  | "job" ->
-      let* pool = get_str "pool" j in
-      let* worker = get_int "worker" j in
-      let* start_ns = get_i64 "start_ns" j in
-      let* dur_ns = get_i64 "dur_ns" j in
-      let* wait_ns = get_i64 "wait_ns" j in
-      Some (Recorder.Job { pool; worker; start_ns; dur_ns; wait_ns })
-  | "heartbeat" ->
-      let* at_ns = get_i64 "at_ns" j in
-      let* completed = get_int "completed" j in
-      let* failed = get_int "failed" j in
-      let* total = get_int "total" j in
-      Some (Recorder.Heartbeat { at_ns; completed; failed; total })
-  | _ -> None
-
-let metric_to_json (name, value) =
-  match value with
-  | Registry.Counter v ->
-      Json.Obj
-        [ ("ev", Json.String "metric"); ("name", Json.String name);
-          ("kind", Json.String "counter"); ("value", Json.Int v) ]
-  | Registry.Gauge v ->
-      Json.Obj
-        [ ("ev", Json.String "metric"); ("name", Json.String name);
-          ("kind", Json.String "gauge"); ("value", Json.Int v) ]
-  | Registry.Hist h ->
-      Json.Obj
-        [
-          ("ev", Json.String "metric");
-          ("name", Json.String name);
-          ("kind", Json.String "histogram");
-          ("count", Json.Int (Hist.count h));
-          ("sum", Json.Int (Hist.sum h));
-          ("min", Json.Int (Hist.min_value h));
-          ("max", Json.Int (Hist.max_value h));
-          ("buckets", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) (Hist.buckets h))));
-        ]
-
-let metric_of_json j =
-  let* name = get_str "name" j in
-  let* kind = get_str "kind" j in
-  match kind with
-  | "counter" ->
-      let* v = get_int "value" j in
-      Some (name, Registry.Counter v)
-  | "gauge" ->
-      let* v = get_int "value" j in
-      Some (name, Registry.Gauge v)
-  | "histogram" ->
-      let* count = get_int "count" j in
-      let* sum = get_int "sum" j in
-      let* min_value = get_int "min" j in
-      let* max_value = get_int "max" j in
-      let* buckets = Json.member "buckets" j in
-      let* bs =
-        match buckets with
-        | Json.List l when List.length l = Hist.n_buckets ->
-            let ints = List.filter_map Json.to_int l in
-            if List.length ints = Hist.n_buckets then Some (Array.of_list ints) else None
-        | _ -> None
-      in
-      Some (name, Registry.Hist (Hist.of_parts ~count ~sum ~min_value ~max_value bs))
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* events.jsonl: header line, then metric lines, then event lines.     *)
-
-let jsonl_magic = "ftc-telemetry"
-let jsonl_version = 1
-
-let events_jsonl ~metrics ~events =
-  let buf = Buffer.create 4096 in
-  let line j =
-    Buffer.add_string buf (Json.to_string j);
-    Buffer.add_char buf '\n'
-  in
-  line
-    (Json.Obj
-       [ ("magic", Json.String jsonl_magic); ("version", Json.Int jsonl_version) ]);
-  List.iter (fun m -> line (metric_to_json m)) metrics;
-  List.iter (fun e -> line (event_to_json e)) events;
-  Buffer.contents buf
-
-let parse_events_jsonl content =
-  let lines =
-    String.split_on_char '\n' content |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "events.jsonl: empty"
-  | header :: rest -> (
-      match Json.of_string header with
-      | Error e -> Error ("events.jsonl: bad header: " ^ e)
-      | Ok h when get_str "magic" h <> Some jsonl_magic ->
-          Error "events.jsonl: missing magic header"
-      | Ok _ ->
-          let metrics = ref [] and events = ref [] and bad = ref 0 in
-          List.iter
-            (fun l ->
-              match Json.of_string l with
-              | Error _ -> incr bad
-              | Ok j -> (
-                  match get_str "ev" j with
-                  | Some "metric" -> (
-                      match metric_of_json j with
-                      | Some m -> metrics := m :: !metrics
-                      | None -> incr bad)
-                  | Some _ -> (
-                      match event_of_json j with
-                      | Some e -> events := e :: !events
-                      | None -> incr bad)
-                  | None -> incr bad))
-            rest;
-          if !bad > 0 then Error (Printf.sprintf "events.jsonl: %d malformed lines" !bad)
-          else Ok (List.rev !metrics, List.rev !events))
-
-(* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (Perfetto-loadable).                        *)
 
 let us_of_ns ns = Int64.to_int (Int64.div ns 1_000L)
@@ -214,7 +9,7 @@ let us_of_ns ns = Int64.to_int (Int64.div ns 1_000L)
    to 1us so every span renders. *)
 let dur_us_of_ns ns = max 1 (us_of_ns ns)
 
-let chrome_trace events =
+let chrome_trace entries =
   (* One tid per track, assigned in first-appearance order over the
      timestamp-sorted events so the numbering is stable for a given log. *)
   let tids = Hashtbl.create 16 in
@@ -228,13 +23,16 @@ let chrome_trace events =
         Hashtbl.replace tids track tid;
         tid
   in
-  let start_of = function
-    | Recorder.Span s -> s.Span.start_ns
-    | Recorder.Trial { start_ns; _ } -> start_ns
-    | Recorder.Job { start_ns; _ } -> start_ns
-    | Recorder.Heartbeat { at_ns; _ } -> at_ns
+  let start_of (e : Event.entry) =
+    match e.ev with
+    | Span s -> s.Span.start_ns
+    | Trial { start_ns; _ } | Job { start_ns; _ } -> start_ns
+    | Heartbeat { at_ns; _ } -> at_ns
+    | _ -> e.at_ns
   in
-  let events = List.stable_sort (fun a b -> Int64.compare (start_of a) (start_of b)) events in
+  let entries =
+    List.stable_sort (fun a b -> Int64.compare (start_of a) (start_of b)) entries
+  in
   let complete ~name ~cat ~tid ~ts_ns ~dur_ns args =
     Json.Obj
       [
@@ -249,49 +47,55 @@ let chrome_trace events =
       ]
   in
   let body =
-    List.map
-      (fun e ->
-        match e with
-        | Recorder.Span s ->
-            complete ~name:s.Span.phase ~cat:"phase" ~tid:(tid_of s.Span.track)
-              ~ts_ns:s.Span.start_ns ~dur_ns:s.Span.dur_ns
-              [
-                ("protocol", Json.String s.Span.protocol);
-                ("rounds",
-                 Json.String (Printf.sprintf "[%d,%d)" s.Span.start_round s.Span.end_round));
-                ("msgs", Json.Int s.Span.msgs);
-                ("bits", Json.Int s.Span.bits);
-              ]
-        | Recorder.Trial { track; protocol; seed; ok; msgs; bits; rounds; start_ns; dur_ns } ->
-            complete ~name:protocol ~cat:"trial" ~tid:(tid_of track) ~ts_ns:start_ns ~dur_ns
-              [
-                ("seed", Json.Int seed);
-                ("ok", Json.Bool ok);
-                ("msgs", Json.Int msgs);
-                ("bits", Json.Int bits);
-                ("rounds", Json.Int rounds);
-              ]
-        | Recorder.Job { pool; worker; start_ns; dur_ns; wait_ns } ->
-            complete ~name:"job" ~cat:"pool"
-              ~tid:(tid_of (Printf.sprintf "%s-worker-%d" pool worker))
-              ~ts_ns:start_ns ~dur_ns
-              [ ("wait_us", Json.Int (us_of_ns wait_ns)) ]
-        | Recorder.Heartbeat { at_ns; completed; failed; total } ->
-            Json.Obj
-              [
-                ("name", Json.String "sweep-progress");
-                ("ph", Json.String "C");
-                ("ts", Json.Int (us_of_ns at_ns));
-                ("pid", Json.Int 1);
-                ("args",
-                 Json.Obj
-                   [
-                     ("completed", Json.Int completed);
-                     ("failed", Json.Int failed);
-                     ("remaining", Json.Int (max 0 (total - completed - failed)));
-                   ]);
-              ])
-      events
+    List.filter_map
+      (fun (e : Event.entry) ->
+        match e.ev with
+        | Span s ->
+            Some
+              (complete ~name:s.Span.phase ~cat:"phase" ~tid:(tid_of s.Span.track)
+                 ~ts_ns:s.Span.start_ns ~dur_ns:s.Span.dur_ns
+                 [
+                   ("protocol", Json.String s.Span.protocol);
+                   ("rounds",
+                    Json.String (Printf.sprintf "[%d,%d)" s.Span.start_round s.Span.end_round));
+                   ("msgs", Json.Int s.Span.msgs);
+                   ("bits", Json.Int s.Span.bits);
+                 ])
+        | Trial { track; protocol; seed; ok; msgs; bits; rounds; start_ns; dur_ns } ->
+            Some
+              (complete ~name:protocol ~cat:"trial" ~tid:(tid_of track) ~ts_ns:start_ns ~dur_ns
+                 [
+                   ("seed", Json.Int seed);
+                   ("ok", Json.Bool ok);
+                   ("msgs", Json.Int msgs);
+                   ("bits", Json.Int bits);
+                   ("rounds", Json.Int rounds);
+                 ])
+        | Job { pool; worker; start_ns; dur_ns; wait_ns } ->
+            Some
+              (complete ~name:"job" ~cat:"pool"
+                 ~tid:(tid_of (Printf.sprintf "%s-worker-%d" pool worker))
+                 ~ts_ns:start_ns ~dur_ns
+                 [ ("wait_us", Json.Int (us_of_ns wait_ns)) ])
+        | Heartbeat { at_ns; completed; failed; total; _ } ->
+            Some
+              (Json.Obj
+                 [
+                   ("name", Json.String "sweep-progress");
+                   ("ph", Json.String "C");
+                   ("ts", Json.Int (us_of_ns at_ns));
+                   ("pid", Json.Int 1);
+                   ("args",
+                    Json.Obj
+                      [
+                        ("completed", Json.Int completed);
+                        ("failed", Json.Int failed);
+                        ("remaining", Json.Int (max 0 (total - completed - failed)));
+                      ]);
+                 ])
+        (* Service events stay in events.jsonl, where ftc blackbox reads them. *)
+        | _ -> None)
+      entries
   in
   (* Thread-name metadata gives each trial/worker its own labelled
      Perfetto track. *)
@@ -361,16 +165,6 @@ let events_file = "events.jsonl"
 let trace_file = "trace.json"
 let prom_file = "metrics.prom"
 
-let write_file path content =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let mkdir_p dir =
   let rec mk d =
     if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -380,24 +174,12 @@ let mkdir_p dir =
   in
   mk dir
 
-let export_files ~dir ~metrics ~events =
+let write_dir ~dir (f : Event.file) =
   mkdir_p dir;
-  write_file (Filename.concat dir events_file) (events_jsonl ~metrics ~events);
-  write_file (Filename.concat dir trace_file) (Json.to_string (chrome_trace events));
-  write_file (Filename.concat dir prom_file) (prometheus metrics)
-
-let write_dir ~dir recorder =
-  export_files ~dir
-    ~metrics:(Registry.snapshot (Recorder.registry recorder))
-    ~events:(Recorder.events recorder)
-
-let load_dir ~dir =
-  let path = Filename.concat dir events_file in
-  if not (Sys.file_exists path) then Error (path ^ ": not found")
-  else
-    match read_file path with
-    | exception Sys_error e -> Error e
-    | content -> parse_events_jsonl content
+  let write name content = Ftc_journal.Journal.write_atomic ~path:(Filename.concat dir name) content in
+  Event.write ~path:(Filename.concat dir events_file) f;
+  write trace_file (Json.to_string (chrome_trace f.entries));
+  write prom_file (prometheus f.metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Summary: per-(protocol, phase) cost table from the span events.     *)
@@ -413,12 +195,12 @@ type phase_row = {
   mutable row_ns : int64;
 }
 
-let phase_rows events =
+let phase_rows entries =
   let tbl : (string * string, phase_row) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun e ->
-      match e with
-      | Recorder.Span s ->
+    (fun (e : Event.entry) ->
+      match e.ev with
+      | Span s ->
           let key = (s.Span.protocol, s.Span.phase) in
           let row =
             match Hashtbl.find_opt tbl key with
@@ -445,7 +227,7 @@ let phase_rows events =
           row.row_bits <- row.row_bits + s.Span.bits;
           row.row_ns <- Int64.add row.row_ns s.Span.dur_ns
       | _ -> ())
-    events;
+    entries;
   Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
   |> List.sort (fun a b ->
          match compare a.row_protocol b.row_protocol with
@@ -455,18 +237,22 @@ let phase_rows events =
              | c -> c)
          | c -> c)
 
-let summary ~metrics ~events =
+let summary (f : Event.file) =
   let buf = Buffer.create 1024 in
-  let rows = phase_rows events in
+  let rows = phase_rows f.entries in
   let trials, failed =
     List.fold_left
-      (fun (t, f) e ->
-        match e with
-        | Recorder.Trial { ok; _ } -> (t + 1, if ok then f else f + 1)
-        | _ -> (t, f))
-      (0, 0) events
+      (fun (t, n) (e : Event.entry) ->
+        match e.ev with
+        | Trial { ok; _ } -> (t + 1, if ok then n else n + 1)
+        | _ -> (t, n))
+      (0, 0) f.entries
   in
   Buffer.add_string buf (Printf.sprintf "trials: %d (%d failed)\n" trials failed);
+  if f.dropped_ > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "window: the last %d of %d events (%d dropped)\n" (List.length f.entries)
+         f.recorded f.dropped_);
   if rows = [] then Buffer.add_string buf "no phase spans recorded\n"
   else begin
     Buffer.add_string buf
@@ -483,7 +269,7 @@ let summary ~metrics ~events =
   (match
      List.filter_map
        (fun (name, v) -> match v with Registry.Hist h -> Some (name, h) | _ -> None)
-       metrics
+       f.metrics
    with
   | [] -> ()
   | hists ->

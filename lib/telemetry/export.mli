@@ -1,52 +1,32 @@
-(** Exporters for a {!Recorder}'s registry snapshot and event log, all
-    built on the journal's JSON codec ({!Ftc_journal.Json}):
+(** Exporters for an {!Event.file}, all built on the journal's JSON
+    codec ({!Ftc_journal.Json}):
 
-    - [events.jsonl] — one JSON object per line: a header, every metric,
-      every event. The source of truth; the other two artifacts can be
-      regenerated from it ([ftc trace export]).
+    - [events.jsonl] — the event file itself ({!Event.write}). The
+      source of truth; the other two artifacts can be regenerated from
+      it ([ftc trace export]).
     - [trace.json] — Chrome trace-event JSON (Perfetto-loadable): one
       track per trial/worker, complete ([ph = "X"]) slices for trials,
-      phase spans and pool jobs, counter events for sweep heartbeats.
+      phase spans and pool jobs, counter events for heartbeats. The
+      ring's service events are left to [events.jsonl].
     - [metrics.prom] — Prometheus-style text snapshot; histograms as
       cumulative power-of-two [le] buckets. *)
 
-val event_to_json : Recorder.event -> Ftc_journal.Json.t
-val event_of_json : Ftc_journal.Json.t -> Recorder.event option
-val metric_to_json : string * Registry.value -> Ftc_journal.Json.t
-val metric_of_json : Ftc_journal.Json.t -> (string * Registry.value) option
-
-val events_jsonl :
-  metrics:(string * Registry.value) list -> events:Recorder.event list -> string
-
-val parse_events_jsonl :
-  string -> ((string * Registry.value) list * Recorder.event list, string) result
-
-val chrome_trace : Recorder.event list -> Ftc_journal.Json.t
+val chrome_trace : Event.entry list -> Ftc_journal.Json.t
 val prometheus : (string * Registry.value) list -> string
 
 val events_file : string
 val trace_file : string
 val prom_file : string
 
-val export_files :
-  dir:string ->
-  metrics:(string * Registry.value) list ->
-  events:Recorder.event list ->
-  unit
+val write_dir : dir:string -> Event.file -> unit
 (** Write all three artifacts into [dir] (created if missing). *)
 
-val write_dir : dir:string -> Recorder.t -> unit
-(** {!export_files} on the recorder's current snapshot and events. *)
-
-val load_dir : dir:string -> ((string * Registry.value) list * Recorder.event list, string) result
-(** Read back [dir/events.jsonl]. *)
-
-val summary :
-  metrics:(string * Registry.value) list -> events:Recorder.event list -> string
+val summary : Event.file -> string
 (** Human-readable per-(protocol, phase) cost table — spans, rounds,
-    msgs, bits, wall-clock — plus trial totals and histogram digests.
-    Rows are sorted (protocol, calendar position), so the output is
-    deterministic up to the wall-clock columns. *)
+    msgs, bits, wall-clock — plus trial totals, the window when the
+    store dropped events, and histogram digests. Rows are sorted
+    (protocol, calendar position), so the output is deterministic up to
+    the wall-clock columns. *)
 
 val validate_trace_json : string -> (int, string) result
 (** Check a [trace.json] body: parses, has a [traceEvents] array, every

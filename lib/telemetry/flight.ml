@@ -1,20 +1,6 @@
-module Json = Ftc_journal.Json
+include Event.Types
 
-type ev =
-  | Admitted of { ticket : int; id : string; protocol : string; n : int; seed : int }
-  | Shed of { id : string; hint_ms : int; draining : bool }
-  | Started of { ticket : int; attempt : int; worker : int }
-  | Round of { ticket : int; round : int }
-  | Decided of { ticket : int; class_ : string; ok : bool }
-  | Requeued of { ticket : int; attempt : int }
-  | Reaped of { worker : int; ticket : int option; detail : string }
-  | Respawned of { worker : int; ticket : int option }
-  | Budget_exhausted of { ticket : int }
-  | Injected of { kind : string; ticket : int }
-  | Trial of { seed : int; class_ : string }
-  | Note of string
-
-type entry = { seq : int; at_ns : int64; ev : ev }
+type ev = event
 
 type t = {
   on : bool;
@@ -54,9 +40,12 @@ let disabled =
 let enabled t = t.on
 let capacity t = t.cap
 
+let now_ns t =
+  if not t.on then 0L else Int64.of_float ((Unix.gettimeofday () -. t.epoch) *. 1e9)
+
 let record t ev =
   if t.on then begin
-    let at = Int64.of_float ((Unix.gettimeofday () -. t.epoch) *. 1e9) in
+    let at = now_ns t in
     Mutex.lock t.lock;
     let slot = t.written mod t.cap in
     t.evs.(slot) <- ev;
@@ -76,8 +65,10 @@ let total t =
 
 let dropped t = max 0 (total t - t.cap)
 
-let snapshot t =
-  if not t.on then []
+(* The lifetime count and the surviving window, under one lock so the
+   two always agree. *)
+let read t =
+  if not t.on then (0, [])
   else begin
     Mutex.lock t.lock;
     let written = t.written in
@@ -90,297 +81,24 @@ let snapshot t =
           { seq; at_ns = t.stamps.(slot); ev = t.evs.(slot) })
     in
     Mutex.unlock t.lock;
-    out
+    (written, out)
   end
 
-let ticket_of = function
-  | Admitted { ticket; _ }
-  | Started { ticket; _ }
-  | Round { ticket; _ }
-  | Decided { ticket; _ }
-  | Requeued { ticket; _ }
-  | Budget_exhausted { ticket }
-  | Injected { ticket; _ } ->
-      Some ticket
-  | Reaped { ticket; _ } | Respawned { ticket; _ } -> ticket
-  | Shed _ | Trial _ | Note _ -> None
+let snapshot t = snd (read t)
 
-let ev_kind = function
-  | Admitted _ -> "admitted"
-  | Shed _ -> "shed"
-  | Started _ -> "started"
-  | Round _ -> "round"
-  | Decided _ -> "decided"
-  | Requeued _ -> "requeued"
-  | Reaped _ -> "reaped"
-  | Respawned _ -> "respawned"
-  | Budget_exhausted _ -> "budget-exhausted"
-  | Injected _ -> "injected"
-  | Trial _ -> "trial"
-  | Note _ -> "note"
+type dump = Event.file
 
-let pp_ev = function
-  | Admitted { ticket; id; protocol; n; seed } ->
-      Printf.sprintf "admitted ticket=%d id=%s protocol=%s n=%d seed=%d" ticket id protocol
-        n seed
-  | Shed { id; hint_ms; draining } ->
-      Printf.sprintf "shed id=%s retry_after_ms=%d%s" id hint_ms
-        (if draining then " (draining)" else "")
-  | Started { ticket; attempt; worker } ->
-      Printf.sprintf "started ticket=%d attempt=%d on worker %d" ticket attempt worker
-  | Round { ticket; round } -> Printf.sprintf "round ticket=%d round=%d" ticket round
-  | Decided { ticket; class_; ok } ->
-      Printf.sprintf "decided ticket=%d class=%s ok=%b" ticket class_ ok
-  | Requeued { ticket; attempt } ->
-      Printf.sprintf "requeued ticket=%d after attempt %d" ticket attempt
-  | Reaped { worker; ticket; detail } ->
-      Printf.sprintf "reaped worker %d%s: %s" worker
-        (match ticket with Some k -> Printf.sprintf " (ticket %d)" k | None -> " (idle)")
-        detail
-  | Respawned { worker; ticket } ->
-      Printf.sprintf "respawned worker %d%s" worker
-        (match ticket with
-        | Some k -> Printf.sprintf " (was running ticket %d)" k
-        | None -> "")
-  | Budget_exhausted { ticket } -> Printf.sprintf "crash budget exhausted ticket=%d" ticket
-  | Injected { kind; ticket } -> Printf.sprintf "injected %s ticket=%d" kind ticket
-  | Trial { seed; class_ } -> Printf.sprintf "trial seed=%d class=%s" seed class_
-  | Note s -> Printf.sprintf "note %s" s
+let window t ~reason =
+  let recorded, entries = read t in
+  {
+    Event.reason;
+    capacity_ = t.cap;
+    recorded;
+    dropped_ = max 0 (recorded - t.cap);
+    metrics = [];
+    entries;
+  }
 
-(* ---- JSON codec ------------------------------------------------------- *)
-
-let opt_ticket = function
-  | Some k -> [ ("ticket", Json.Int k) ]
-  | None -> []
-
-let ev_to_json ev =
-  let tag rest = Json.Obj (("ev", Json.String (ev_kind ev)) :: rest) in
-  match ev with
-  | Admitted { ticket; id; protocol; n; seed } ->
-      tag
-        [
-          ("ticket", Json.Int ticket);
-          ("id", Json.String id);
-          ("protocol", Json.String protocol);
-          ("n", Json.Int n);
-          ("seed", Json.Int seed);
-        ]
-  | Shed { id; hint_ms; draining } ->
-      tag
-        [
-          ("id", Json.String id);
-          ("hint_ms", Json.Int hint_ms);
-          ("draining", Json.Bool draining);
-        ]
-  | Started { ticket; attempt; worker } ->
-      tag
-        [
-          ("ticket", Json.Int ticket);
-          ("attempt", Json.Int attempt);
-          ("worker", Json.Int worker);
-        ]
-  | Round { ticket; round } -> tag [ ("ticket", Json.Int ticket); ("round", Json.Int round) ]
-  | Decided { ticket; class_; ok } ->
-      tag
-        [
-          ("ticket", Json.Int ticket); ("class", Json.String class_); ("ok", Json.Bool ok);
-        ]
-  | Requeued { ticket; attempt } ->
-      tag [ ("ticket", Json.Int ticket); ("attempt", Json.Int attempt) ]
-  | Reaped { worker; ticket; detail } ->
-      tag
-        (("worker", Json.Int worker)
-        :: (opt_ticket ticket @ [ ("detail", Json.String detail) ]))
-  | Respawned { worker; ticket } -> tag (("worker", Json.Int worker) :: opt_ticket ticket)
-  | Budget_exhausted { ticket } -> tag [ ("ticket", Json.Int ticket) ]
-  | Injected { kind; ticket } ->
-      tag [ ("kind", Json.String kind); ("ticket", Json.Int ticket) ]
-  | Trial { seed; class_ } ->
-      tag [ ("seed", Json.Int seed); ("class", Json.String class_) ]
-  | Note s -> tag [ ("text", Json.String s) ]
-
-let ev_of_json j =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let bool k = Option.bind (Json.member k j) Json.to_bool in
-  let decoded =
-    let* kind = str "ev" in
-    match kind with
-    | "admitted" ->
-        let* ticket = int "ticket" in
-        let* id = str "id" in
-        let* protocol = str "protocol" in
-        let* n = int "n" in
-        let* seed = int "seed" in
-        Some (Admitted { ticket; id; protocol; n; seed })
-    | "shed" ->
-        let* id = str "id" in
-        let* hint_ms = int "hint_ms" in
-        let* draining = bool "draining" in
-        Some (Shed { id; hint_ms; draining })
-    | "started" ->
-        let* ticket = int "ticket" in
-        let* attempt = int "attempt" in
-        let* worker = int "worker" in
-        Some (Started { ticket; attempt; worker })
-    | "round" ->
-        let* ticket = int "ticket" in
-        let* round = int "round" in
-        Some (Round { ticket; round })
-    | "decided" ->
-        let* ticket = int "ticket" in
-        let* class_ = str "class" in
-        let* ok = bool "ok" in
-        Some (Decided { ticket; class_; ok })
-    | "requeued" ->
-        let* ticket = int "ticket" in
-        let* attempt = int "attempt" in
-        Some (Requeued { ticket; attempt })
-    | "reaped" ->
-        let* worker = int "worker" in
-        let* detail = str "detail" in
-        Some (Reaped { worker; ticket = int "ticket"; detail })
-    | "respawned" ->
-        let* worker = int "worker" in
-        Some (Respawned { worker; ticket = int "ticket" })
-    | "budget-exhausted" ->
-        let* ticket = int "ticket" in
-        Some (Budget_exhausted { ticket })
-    | "injected" ->
-        let* kind = str "kind" in
-        let* ticket = int "ticket" in
-        Some (Injected { kind; ticket })
-    | "trial" ->
-        let* seed = int "seed" in
-        let* class_ = str "class" in
-        Some (Trial { seed; class_ })
-    | "note" ->
-        let* text = str "text" in
-        Some (Note text)
-    | _ -> None
-  in
-  match decoded with
-  | Some ev -> Ok ev
-  | None -> Error (Printf.sprintf "bad flight event: %s" (Json.to_string j))
-
-(* ---- Black-box files -------------------------------------------------- *)
-
-let file_version = 1
-
-type dump = {
-  version : int;
-  reason : string;
-  capacity_ : int;
-  recorded : int;
-  dropped_ : int;
-  entries : entry list;
-}
-
-let entry_to_json e =
-  Json.Obj
-    [
-      ("seq", Json.Int e.seq);
-      ("at_ns", Json.Int (Int64.to_int e.at_ns));
-      ("event", ev_to_json e.ev);
-    ]
-
-let entry_of_json j =
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  match (int "seq", int "at_ns", Json.member "event" j) with
-  | Some seq, Some at, Some evj -> (
-      match ev_of_json evj with
-      | Ok ev -> Ok { seq; at_ns = Int64.of_int at; ev }
-      | Error e -> Error e)
-  | _ -> Error (Printf.sprintf "bad flight entry: %s" (Json.to_string j))
-
-let dump t ~path ~reason =
-  if t.on then begin
-    let entries = snapshot t in
-    let recorded = total t in
-    let header =
-      Json.Obj
-        [
-          ("blackbox", Json.Int file_version);
-          ("reason", Json.String reason);
-          ("capacity", Json.Int t.cap);
-          ("recorded", Json.Int recorded);
-          ("dropped", Json.Int (max 0 (recorded - t.cap)));
-        ]
-    in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf (Json.to_string header);
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun e ->
-        Buffer.add_string buf (Json.to_string (entry_to_json e));
-        Buffer.add_char buf '\n')
-      entries;
-    Ftc_journal.Journal.write_atomic ~path (Buffer.contents buf)
-  end
-
-let read_lines path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (if String.trim line = "" then acc else line :: acc)
-          | exception End_of_file -> Ok (List.rev acc)
-        in
-        go [])
-  with Sys_error e -> Error e
-
-let load ~path =
-  let ( let* ) = Result.bind in
-  let* lines = read_lines path in
-  match lines with
-  | [] -> Error "empty black-box file"
-  | header :: rest ->
-      let* hj = Json.of_string header in
-      let int k = Option.bind (Json.member k hj) Json.to_int in
-      let str k = Option.bind (Json.member k hj) Json.to_str in
-      let* version =
-        match int "blackbox" with
-        | Some v -> Ok v
-        | None -> Error "missing black-box header"
-      in
-      let* () =
-        if version = file_version then Ok ()
-        else Error (Printf.sprintf "unsupported black-box version %d" version)
-      in
-      let* reason = Option.to_result ~none:"header missing reason" (str "reason") in
-      let* capacity_ = Option.to_result ~none:"header missing capacity" (int "capacity") in
-      let* recorded = Option.to_result ~none:"header missing recorded" (int "recorded") in
-      let* dropped_ = Option.to_result ~none:"header missing dropped" (int "dropped") in
-      let* entries =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Json.of_string line in
-            let* e = entry_of_json j in
-            Ok (e :: acc))
-          (Ok []) rest
-      in
-      Ok { version; reason; capacity_; recorded; dropped_; entries = List.rev entries }
-
-let check d =
-  let n = List.length d.entries in
-  if d.recorded - d.dropped_ <> n then
-    Error
-      (Printf.sprintf "entry count %d does not match recorded %d - dropped %d" n d.recorded
-         d.dropped_)
-  else
-    let rec seqs expect = function
-      | [] -> Ok ()
-      | e :: rest ->
-          if e.seq <> expect then
-            Error (Printf.sprintf "sequence gap: expected %d, found %d" expect e.seq)
-          else seqs (expect + 1) rest
-    in
-    seqs d.dropped_ d.entries
-
-let timeline entries ~ticket =
-  List.filter (fun e -> ticket_of e.ev = Some ticket) entries
+let dump t ~path ~reason = if t.on then Event.write ~path (window t ~reason)
+let load = Event.load
+let timeline entries ~ticket = List.filter (fun e -> Event.ticket_of e.ev = Some ticket) entries

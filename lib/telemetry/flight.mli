@@ -1,6 +1,6 @@
 (** Flight recorder: a fixed-capacity, allocation-bounded ring buffer of
-    structured service events — the "black box" of [ftc serve] and the
-    sweep supervisor.
+    {!Event}s — the "black box" of [ftc serve], and its [--telemetry]
+    store.
 
     Like {!Recorder}, a flight ring is either live ({!create}) or the
     shared {!disabled} no-op: instrumentation calls {!record}
@@ -11,44 +11,17 @@
     monotone sequence number. [dropped] says how many events were
     overwritten before the oldest survivor.
 
-    {!dump} writes the surviving window as a versioned JSONL black-box
-    file (one header line, then one entry per line, oldest first) via an
-    atomic rename; {!load}/{!check} read one back and verify its
-    invariants; {!timeline} filters a window down to the causal history
-    of a single ticket. All recording operations are domain-safe. *)
+    {!dump} writes the surviving window as an {!Event} file via an
+    atomic rename; {!load} reads one back; {!timeline} filters a window
+    down to the causal history of a single ticket. All recording
+    operations are domain-safe. *)
 
-type ev =
-  | Admitted of { ticket : int; id : string; protocol : string; n : int; seed : int }
-      (** Admission accepted a submit and queued it under [ticket]. *)
-  | Shed of { id : string; hint_ms : int; draining : bool }
-      (** Admission refused a submit (bound hit, or draining) with a
-          retry-after hint. *)
-  | Started of { ticket : int; attempt : int; worker : int }
-      (** A worker domain began executing an attempt of the ticket. *)
-  | Round of { ticket : int; round : int }
-      (** Watchdog-poll heartbeat: the instance reached engine round
-          [round] (counted in watchdog polls). *)
-  | Decided of { ticket : int; class_ : string; ok : bool }
-      (** Terminal reply sent for the ticket. [class_] is ["ok"] for a
-          result or the failure class ([Wire.failed_*]). *)
-  | Requeued of { ticket : int; attempt : int }
-      (** Supervisor put the ticket back at the front of the queue after
-          a worker crash; [attempt] is the count already consumed. *)
-  | Reaped of { worker : int; ticket : int option; detail : string }
-      (** Supervisor observed a dead worker domain and collected it. *)
-  | Respawned of { worker : int; ticket : int option }
-      (** Supervisor started a replacement domain in the same slot. *)
-  | Budget_exhausted of { ticket : int }
-      (** The ticket consumed its full crash budget. *)
-  | Injected of { kind : string; ticket : int }
-      (** A fault-injection decision fired ({!Ftc_serve.Inject} kind
-          name). *)
-  | Trial of { seed : int; class_ : string }
-      (** Sweep-supervisor trial outcome (["completed"], a failure
-          class, or ["skipped"]). *)
-  | Note of string  (** Free-form lifecycle marker. *)
+include module type of struct
+  include Event.Types
+end
+(** The {!Event} vocabulary: [Flight.Admitted], [Flight.Started], ... *)
 
-type entry = { seq : int; at_ns : int64; ev : ev }
+type ev = event
 
 type t
 
@@ -61,6 +34,10 @@ val disabled : t
 
 val enabled : t -> bool
 val capacity : t -> int
+
+val now_ns : t -> int64
+(** Nanoseconds since the ring was created, on the clock its entries
+    use; [0L] when disabled. *)
 
 val record : t -> ev -> unit
 
@@ -75,46 +52,22 @@ val snapshot : t -> entry list
 (** The surviving window, oldest first. Sequence numbers are global:
     the first surviving entry has [seq = dropped t]. *)
 
-val ticket_of : ev -> int option
-(** The ticket an event attributes to, when it has one. *)
-
-val ev_kind : ev -> string
-(** The JSONL discriminator string for the event. *)
-
-val pp_ev : ev -> string
-(** Human one-line rendering (used by [ftc blackbox timeline]). *)
-
 (** {1 Black-box files} *)
 
-val file_version : int
-(** Version stamped in the header line; bump on any schema change. *)
+type dump = Event.file
 
-type dump = {
-  version : int;
-  reason : string;
-  capacity_ : int;
-  recorded : int;  (** lifetime total at dump time *)
-  dropped_ : int;
-  entries : entry list;  (** oldest first *)
-}
+val window : t -> reason:string -> dump
+(** The surviving window and its counts, read at one instant, with no
+    metrics. *)
 
 val dump : t -> path:string -> reason:string -> unit
-(** Write the current window atomically as JSONL. A disabled ring writes
-    nothing. [reason] is one of the dump triggers (e.g. ["watchdog"],
-    ["worker-crash"], ["ledger-residue"], ["sigquit"], ["clean-drain"],
-    ["sweep-end"]). *)
+(** Write {!window} atomically. A disabled ring writes nothing.
+    [reason] is one of the dump triggers (e.g. ["watchdog"],
+    ["worker-crash"], ["ledger-residue"], ["sigquit"],
+    ["clean-drain"]). *)
 
 val load : path:string -> (dump, string) result
-(** Parse a black-box file. Fails on unreadable files, bad JSON, an
-    unknown version, or a malformed entry. *)
-
-val check : dump -> (unit, string) result
-(** Verify invariants: entry count matches [recorded - dropped_] and
-    sequence numbers are contiguous starting at [dropped_]. (Timestamps
-    need not be monotone — producer domains race for slots.) *)
+(** {!Event.load}. *)
 
 val timeline : entry list -> ticket:int -> entry list
 (** Entries attributable to [ticket], in sequence order. *)
-
-val ev_to_json : ev -> Ftc_journal.Json.t
-val ev_of_json : Ftc_journal.Json.t -> (ev, string) result

@@ -26,9 +26,6 @@ let bucket_of v =
     min !bits (n_buckets - 1)
   end
 
-let lower_bound i =
-  if i <= 0 then min_int else if i >= n_buckets then max_int else 1 lsl (i - 1)
-
 let upper_bound i = if i < 0 then min_int else if i >= n_buckets - 1 then max_int else 1 lsl i
 
 let record t v =

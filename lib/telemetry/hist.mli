@@ -16,9 +16,6 @@ val create : unit -> t
 val bucket_of : int -> int
 (** The bucket index a value lands in. *)
 
-val lower_bound : int -> int
-(** Inclusive lower bound of a bucket ([min_int] for bucket 0). *)
-
 val upper_bound : int -> int
 (** Exclusive upper bound of a bucket ([max_int] for the overflow). *)
 

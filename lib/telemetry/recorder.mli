@@ -1,4 +1,5 @@
-(** The central telemetry handle: an event log plus a {!Registry}.
+(** The central telemetry handle for runs: the full event log plus a
+    {!Registry}.
 
     A recorder is either live ({!create}) or the shared {!disabled}
     no-op. Code under instrumentation takes the recorder unconditionally
@@ -7,27 +8,17 @@
     near-zero cost and bit-identical output. All operations are
     domain-safe — trials running on pool workers share one recorder.
 
+    The log keeps every event: it suits runs, which end. Services keep
+    a bounded {!Flight} ring of the same events instead.
+
     Timestamps are nanoseconds relative to the recorder's creation
     (wall clock): small, positive, and directly usable as Chrome-trace
     [ts] offsets. *)
 
-type event =
-  | Span of Span.t  (** One protocol phase of one trial. *)
-  | Trial of {
-      track : string;
-      protocol : string;
-      seed : int;
-      ok : bool;
-      msgs : int;
-      bits : int;
-      rounds : int;
-      start_ns : int64;
-      dur_ns : int64;
-    }  (** Whole-trial summary; its spans nest under it on the same track. *)
-  | Job of { pool : string; worker : int; start_ns : int64; dur_ns : int64; wait_ns : int64 }
-      (** One pool job as executed by a worker domain. *)
-  | Heartbeat of { at_ns : int64; completed : int; failed : int; total : int }
-      (** Sweep progress tick from the supervisor. *)
+include module type of struct
+  include Event.Types
+end
+(** The {!Event} vocabulary: [Recorder.Span], [Recorder.Trial], ... *)
 
 type t
 
@@ -41,8 +32,13 @@ val now_ns : t -> int64
     clock is never read). *)
 
 val emit : t -> event -> unit
+(** Stamp the event into the log. *)
 
 val events : t -> event list
 (** Events in emission order. With multiple domains emitting, the
     interleaving is scheduling-dependent — exporters must not rely on
     it (the summary sorts; the trace orders by timestamp). *)
+
+val log : t -> Event.file
+(** The whole log as an event file (reason ["run"], capacity [0]), with
+    a snapshot of the registry. *)

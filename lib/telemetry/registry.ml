@@ -57,14 +57,6 @@ let observe t name v =
             Hist.record h v;
             Hashtbl.replace t.metrics name (M_hist h))
 
-let import t name value =
-  if t.on then
-    locked t (fun () ->
-        match value with
-        | Counter v -> Hashtbl.replace t.metrics name (M_counter (ref v))
-        | Gauge v -> Hashtbl.replace t.metrics name (M_gauge (ref v))
-        | Hist h -> Hashtbl.replace t.metrics name (M_hist (Hist.copy h)))
-
 let snapshot t =
   locked t (fun () ->
       Hashtbl.fold

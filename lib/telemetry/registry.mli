@@ -35,10 +35,6 @@ val gauge_max : t -> string -> int -> unit
 val observe : t -> string -> int -> unit
 (** Record one sample into a histogram. *)
 
-val import : t -> string -> value -> unit
-(** Overwrite a metric with an exported value; used by the JSONL
-    importer when rebuilding a registry from [events.jsonl]. *)
-
 val snapshot : t -> (string * value) list
 (** Point-in-time copy of every metric, sorted by name (deterministic
     given deterministic values). *)

@@ -353,7 +353,13 @@ let run ?(recorder = Recorder.disabled) ?journal ?(resume = false) ?(log = fun _
                 (int_of_float (float_of_int (!explored - resumed_states) /. elapsed));
             Recorder.emit recorder
               (Recorder.Heartbeat
-                 { at_ns = now; completed = !explored; failed = !nviols; total = planned })
+                 {
+                   at_ns = now;
+                   completed = !explored;
+                   failed = !nviols;
+                   total = planned;
+                   verdict = None;
+                 })
           end;
           if !chunk_id mod 16 = 0 then
             log

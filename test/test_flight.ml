@@ -6,6 +6,12 @@
    timeline] prints. *)
 
 module Flight = Ftc_telemetry.Flight
+module Event = Ftc_telemetry.Event
+module Export = Ftc_telemetry.Export
+module Recorder = Ftc_telemetry.Recorder
+module Registry = Ftc_telemetry.Registry
+module Server = Ftc_serve.Server
+module Client = Ftc_serve.Client
 module Admission = Ftc_serve.Admission
 module Inject = Ftc_serve.Inject
 module Supervisor = Ftc_serve.Supervisor
@@ -110,19 +116,18 @@ let test_dump_load_check_roundtrip () =
   Flight.dump t ~path ~reason:"test";
   let d = match Flight.load ~path with Ok d -> d | Error e -> Alcotest.fail e in
   Sys.remove path;
-  Alcotest.(check int) "version" Flight.file_version d.Flight.version;
-  Alcotest.(check string) "reason" "test" d.Flight.reason;
-  Alcotest.(check int) "capacity" 4 d.Flight.capacity_;
-  Alcotest.(check int) "recorded" 11 d.Flight.recorded;
-  Alcotest.(check int) "dropped" 7 d.Flight.dropped_;
-  (match Flight.check d with
+  Alcotest.(check string) "reason" "test" d.Event.reason;
+  Alcotest.(check int) "capacity" 4 d.Event.capacity_;
+  Alcotest.(check int) "recorded" 11 d.Event.recorded;
+  Alcotest.(check int) "dropped" 7 d.Event.dropped_;
+  (match Event.check d with
   | Ok () -> ()
   | Error e -> Alcotest.failf "check rejected a fresh dump: %s" e);
   Alcotest.(check (list int)) "window seqs survive the file" [ 7; 8; 9; 10 ]
-    (seqs d.Flight.entries);
+    (seqs d.Event.entries);
   (* check is not a rubber stamp: a gap in the seqs must be caught. *)
-  let torn = { d with Flight.entries = List.filteri (fun i _ -> i <> 1) d.Flight.entries } in
-  Alcotest.(check bool) "gap detected" true (Result.is_error (Flight.check torn))
+  let torn = { d with Event.entries = List.filteri (fun i _ -> i <> 1) d.Event.entries } in
+  Alcotest.(check bool) "gap detected" true (Result.is_error (Event.check torn))
 
 (* ---- determinism and timelines under injected crashes ----
 
@@ -189,7 +194,7 @@ let normalized entries ~tickets =
   List.map
     (fun k ->
       Flight.timeline entries ~ticket:k
-      |> List.map (fun (e : Flight.entry) -> Flight.pp_ev e.ev))
+      |> List.map (fun (e : Flight.entry) -> Event.pp e.ev))
     tickets
 
 let test_dump_determinism () =
@@ -205,7 +210,7 @@ let test_dump_determinism () =
 let test_killed_then_requeued_timeline () =
   let entries = crashy_run ~inject_seed:11 ~tickets:[ 5 ] in
   let tl = Flight.timeline entries ~ticket:5 in
-  let kinds = List.map (fun (e : Flight.entry) -> Flight.ev_kind e.ev) tl in
+  let kinds = List.map (fun (e : Flight.entry) -> Event.kind e.ev) tl in
   let count k = List.length (List.filter (( = ) k) kinds) in
   (* kill-worker:1.0 burns the whole crash budget: every attempt starts,
      is killed, is reaped, and — until the budget runs out — requeued. *)
@@ -231,6 +236,46 @@ let test_killed_then_requeued_timeline () =
     "attempt phases in causal order" expected
     (List.filter (fun k -> k <> "round") kinds)
 
+(* ---- bounded serve telemetry ----
+
+   What [ftc serve --telemetry] keeps: a live recorder contributes only
+   its metrics, each finished instance's [Trial] goes to the ring, and
+   the exit flush writes the ring's window. Memory and file are capped
+   at the ring's capacity however many instances ran. *)
+
+let test_serve_telemetry_is_bounded () =
+  let recorder = Recorder.create () in
+  let ring = Flight.create ~capacity:16 in
+  let stats, summary =
+    Live_server.with_live_server
+      ~configure:(fun c -> { c with Server.bound = 128; recorder; flight = ring })
+      (fun addr ->
+        Live_server.run_client
+          { (Client.default_config addr) with total = 100; n = 16; overall_timeout_ms = 120_000 })
+  in
+  Alcotest.(check int) "every submit ran" 100 stats.Client.results;
+  Alcotest.(check int) "ledger empty" 0 summary.Server.lost;
+  Alcotest.(check int) "the recorder's log stays empty" 0 (List.length (Recorder.events recorder));
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "ftc-tel-%d" (Unix.getpid ())) in
+  Export.write_dir ~dir
+    {
+      (Flight.window ring ~reason:"serve-exit") with
+      metrics = Registry.snapshot (Recorder.registry recorder);
+    };
+  let path = Filename.concat dir Export.events_file in
+  let f = match Event.load ~path with Ok f -> f | Error e -> Alcotest.fail e in
+  List.iter (fun name -> Sys.remove (Filename.concat dir name))
+    [ Export.events_file; Export.trace_file; Export.prom_file ];
+  Unix.rmdir dir;
+  Alcotest.(check bool) "at most 16 entries" true (List.length f.entries <= 16);
+  Alcotest.(check bool) "dropped reported" true (f.dropped_ > 0);
+  Alcotest.(check int) "dropped = recorded - capacity" (f.recorded - 16) f.dropped_;
+  (match Event.check f with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "metrics kept" true
+    (List.mem_assoc "serve/accepted" f.metrics);
+  Alcotest.(check bool) "summary reports the drop" true
+    (Astring.String.is_infix ~affix:"dropped" (Export.summary f))
+
 let () =
   Alcotest.run "flight"
     [
@@ -244,6 +289,8 @@ let () =
         [
           Alcotest.test_case "dump / load / check round-trip" `Quick
             test_dump_load_check_roundtrip;
+          Alcotest.test_case "serve telemetry is bounded by the ring" `Quick
+            test_serve_telemetry_is_bounded;
         ] );
       ( "determinism",
         [

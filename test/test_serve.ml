@@ -253,6 +253,23 @@ let test_admission_drain () =
   Alcotest.(check bool) "quiescent once served" true (Admission.quiescent q);
   Alcotest.(check (option int)) "take signals exit" None (Admission.take q)
 
+(* [on_admit] is where the server records [Admitted]: once per admitted
+   submit, never for a shed one. *)
+let test_admission_on_admit () =
+  let q = Admission.create ~bound:1 ~workers:1 () in
+  let calls = ref 0 in
+  let admit x = Admission.admit ~on_admit:(fun () -> incr calls) q x in
+  Alcotest.(check bool) "admitted" true (admit 1 = Admission.Admitted);
+  Alcotest.(check int) "ran once" 1 !calls;
+  (match admit 2 with
+  | Admission.Shed_full _ -> ()
+  | _ -> Alcotest.fail "second submit not shed");
+  Admission.drain q;
+  (match admit 3 with
+  | Admission.Shed_draining _ -> ()
+  | _ -> Alcotest.fail "admission still open while draining");
+  Alcotest.(check int) "not run for sheds" 1 !calls
+
 (* ---- injection determinism ---- *)
 
 let test_inject_parse_and_describe () =
@@ -392,42 +409,10 @@ let test_transport_ladder () =
 
 (* ---- end to end ---- *)
 
-(* A real server in its own domain on a fresh unix socket: [f] gets the
-   address once the socket is bound; then the server is drained and its
-   summary returned with [f]'s result. *)
-let with_live_server f =
-  let path = Filename.temp_file "ftc-serve-test" ".sock" in
-  Sys.remove path;
-  let drain = Atomic.make false in
-  let cfg =
-    { (Server.default_config (Server.Unix_sock path)) with workers = 2; bound = 32; default_timeout_ms = 10_000; grace_ms = 10_000 }
-  in
-  let server = Domain.spawn (fun () -> Server.run ~drain cfg) in
-  (* Wait for the bind; the client errors out only if its very first
-     connection fails, so don't race it. *)
-  let rec wait_bind tries =
-    if not (Sys.file_exists path) then
-      if tries = 0 then Alcotest.fail "server never bound its socket"
-      else begin
-        Unix.sleepf 0.02;
-        wait_bind (tries - 1)
-      end
-  in
-  wait_bind 250;
-  let x = f (Server.Unix_sock path) in
-  Atomic.set drain true;
-  let summary =
-    match Domain.join server with Ok s -> s | Error e -> Alcotest.failf "server: %s" e
-  in
-  if Sys.file_exists path then Sys.remove path;
-  (x, summary)
-
-let run_client ccfg = match Client.run ccfg with Ok s -> s | Error e -> Alcotest.failf "client: %s" e
-
 let test_end_to_end () =
   let stats, summary =
-    with_live_server (fun addr ->
-        run_client
+    Live_server.with_live_server (fun addr ->
+        Live_server.run_client
           { (Client.default_config addr) with total = 8; n = 16; base_seed = 100; overall_timeout_ms = 60_000 })
   in
   Alcotest.(check int) "every submit ran" 8 stats.Client.results;
@@ -444,9 +429,9 @@ let test_end_to_end () =
    and alpha = 1 — no crash budget at all — runs to a result. *)
 let test_admission_uses_case_rule () =
   let (zero, one), summary =
-    with_live_server (fun addr ->
+    Live_server.with_live_server (fun addr ->
         let submit alpha =
-          run_client
+          Live_server.run_client
             { (Client.default_config addr) with total = 1; n = 16; alpha; overall_timeout_ms = 60_000 }
         in
         let zero = submit 0. in
@@ -460,6 +445,42 @@ let test_admission_uses_case_rule () =
   Alcotest.(check int) "alpha 1 not rejected" 0 one.Client.rejected;
   Alcotest.(check int) "server rejected one" 1 summary.Server.rejected;
   Alcotest.(check int) "server replied to the other" 1 summary.Server.results
+
+(* The ring's causal order per ticket: [Admitted] is recorded before a
+   worker can take the instance, so its seq is below that of the
+   ticket's first [Started] — on every ticket, however the domains
+   interleave. The bound admits all 200 at once, so nothing is shed and
+   the check covers every submit. *)
+let test_admitted_precedes_started () =
+  let flight = Ftc_telemetry.Flight.create ~capacity:(1 lsl 16) in
+  let stats, summary =
+    Live_server.with_live_server
+      ~configure:(fun c -> { c with Server.bound = 256; flight })
+      (fun addr ->
+        Live_server.run_client
+          { (Client.default_config addr) with total = 200; n = 16; overall_timeout_ms = 120_000 })
+  in
+  Alcotest.(check int) "every submit ran" 200 stats.Client.results;
+  Alcotest.(check int) "ledger empty" 0 summary.Server.lost;
+  Alcotest.(check int) "the ring kept everything" 0 (Ftc_telemetry.Flight.dropped flight);
+  let admitted = Hashtbl.create 256 and started = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Ftc_telemetry.Flight.entry) ->
+      match e.ev with
+      | Ftc_telemetry.Flight.Admitted { ticket; _ } -> Hashtbl.replace admitted ticket e.seq
+      | Ftc_telemetry.Flight.Started { ticket; _ } ->
+          if not (Hashtbl.mem started ticket) then Hashtbl.replace started ticket e.seq
+      | _ -> ())
+    (Ftc_telemetry.Flight.snapshot flight);
+  Alcotest.(check int) "200 tickets admitted" 200 (Hashtbl.length admitted);
+  Hashtbl.iter
+    (fun ticket adm ->
+      match Hashtbl.find_opt started ticket with
+      | None -> Alcotest.failf "ticket %d never started" ticket
+      | Some st ->
+          if adm >= st then
+            Alcotest.failf "ticket %d: Admitted seq %d is not below Started seq %d" ticket adm st)
+    admitted
 
 (* ---- ftc top ---- *)
 
@@ -478,9 +499,9 @@ let test_top_against_live_server () =
      [config.out]. Two samples so the second has a rate/restart
      baseline; the client load in between gives the counters motion. *)
   let (), _summary =
-    with_live_server (fun addr ->
+    Live_server.with_live_server (fun addr ->
         ignore
-          (run_client
+          (Live_server.run_client
              { (Client.default_config addr) with total = 4; n = 16; base_seed = 7; overall_timeout_ms = 60_000 });
         let frames = Buffer.create 1024 in
         let tcfg =
@@ -554,6 +575,7 @@ let () =
           Alcotest.test_case "bound sheds" `Quick test_admission_bound_and_shed;
           Alcotest.test_case "requeue is bound-neutral" `Quick test_admission_requeue_is_bound_neutral;
           Alcotest.test_case "drain" `Quick test_admission_drain;
+          Alcotest.test_case "on_admit only when admitted" `Quick test_admission_on_admit;
         ] );
       ( "inject",
         [
@@ -571,6 +593,8 @@ let () =
           Alcotest.test_case "serve + client over a unix socket" `Quick test_end_to_end;
           Alcotest.test_case "admission applies the case rule" `Quick
             test_admission_uses_case_rule;
+          Alcotest.test_case "Admitted precedes Started on every ticket" `Quick
+            test_admitted_precedes_started;
         ] );
       ( "top",
         [

@@ -7,6 +7,8 @@ module Registry = Ftc_telemetry.Registry
 module Span = Ftc_telemetry.Span
 module Recorder = Ftc_telemetry.Recorder
 module Export = Ftc_telemetry.Export
+module Event = Ftc_telemetry.Event
+module Flight = Ftc_telemetry.Flight
 module Json = Ftc_journal.Json
 
 (* -- histogram bucketing -- *)
@@ -124,11 +126,29 @@ let test_span_cut_synthetic_run_phase () =
       Alcotest.(check int64) "no clock, zero duration" 0L late.Span.dur_ns
   | other -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length other))
 
-(* -- exporters -- *)
+(* -- the event vocabulary -- *)
 
-let sample_events =
+(* The recorder's log and the flight ring hold one type. *)
+let _ : Recorder.event -> Flight.ev = Fun.id
+
+let span =
+  {
+    Span.protocol = "p";
+    track = "seed-1";
+    phase = "a";
+    start_round = 0;
+    end_round = 2;
+    msgs = 20;
+    bits = 80;
+    start_ns = 1000L;
+    dur_ns = 200L;
+  }
+
+(* One of every constructor, optional fields both ways. *)
+let every_event =
   [
-    Recorder.Trial
+    Event.Span span;
+    Event.Trial
       {
         track = "seed-1";
         protocol = "p";
@@ -140,21 +160,31 @@ let sample_events =
         start_ns = 1000L;
         dur_ns = 230L;
       };
-    Recorder.Span
-      {
-        Span.protocol = "p";
-        track = "seed-1";
-        phase = "a";
-        start_round = 0;
-        end_round = 2;
-        msgs = 20;
-        bits = 80;
-        start_ns = 1000L;
-        dur_ns = 200L;
-      };
-    Recorder.Job { pool = "trials"; worker = 0; start_ns = 990L; dur_ns = 260L; wait_ns = 40L };
-    Recorder.Heartbeat { at_ns = 1300L; completed = 1; failed = 0; total = 1 };
+    Event.Job { pool = "trials"; worker = 0; start_ns = 990L; dur_ns = 260L; wait_ns = 40L };
+    Event.Heartbeat { at_ns = 1300L; completed = 1; failed = 0; total = 1; verdict = None };
+    Event.Heartbeat
+      { at_ns = 1400L; completed = 1; failed = 1; total = 2; verdict = Some (7, "violation") };
+    Event.Admitted { ticket = 3; id = "c9"; protocol = "p"; n = 8; seed = 7 };
+    Event.Shed { id = "c10"; hint_ms = 12; draining = true };
+    Event.Started { ticket = 3; attempt = 1; worker = 1 };
+    Event.Round { ticket = 3; round = 4 };
+    Event.Decided { ticket = 3; class_ = "ok"; ok = true };
+    Event.Requeued { ticket = 3; attempt = 1 };
+    Event.Reaped { worker = 1; ticket = Some 3; detail = "killed" };
+    Event.Reaped { worker = 0; ticket = None; detail = "idle \"quoted\"" };
+    Event.Respawned { worker = 1; ticket = Some 3 };
+    Event.Respawned { worker = 0; ticket = None };
+    Event.Budget_exhausted { ticket = 3 };
+    Event.Injected { kind = "kill-worker"; ticket = 3 };
+    Event.Note "serving";
   ]
+
+(* Fails to compile when a constructor is added, as a reminder to give
+   it a sample above. *)
+let _covered : Event.event -> unit = function
+  | Span _ | Trial _ | Job _ | Heartbeat _ | Admitted _ | Shed _ | Started _ | Round _
+  | Decided _ | Requeued _ | Reaped _ | Respawned _ | Budget_exhausted _ | Injected _ | Note _ ->
+      ()
 
 let sample_metrics () =
   let r = Registry.create () in
@@ -163,31 +193,94 @@ let sample_metrics () =
   Registry.observe r "ftc_trial_msgs" 23;
   Registry.snapshot r
 
+let file_of ?(metrics = []) events =
+  {
+    Event.reason = "test";
+    capacity_ = 0;
+    recorded = List.length events;
+    dropped_ = 0;
+    metrics;
+    entries = List.mapi (fun seq ev -> { Event.seq; at_ns = Int64.of_int (10 * seq); ev }) events;
+  }
+
+let temp_path () = Filename.temp_file "ftc-events" ".jsonl"
+
+let write_load f =
+  let path = temp_path () in
+  Event.write ~path f;
+  let loaded = Event.load ~path in
+  Sys.remove path;
+  match loaded with Ok f -> f | Error e -> Alcotest.fail e
+
+let test_every_event_round_trips () =
+  Alcotest.(check int) "every kind sampled" 15
+    (List.length (List.sort_uniq compare (List.map Event.kind every_event)));
+  List.iter
+    (fun ev ->
+      match Event.of_json (Event.to_json ev) with
+      | Ok ev' -> Alcotest.(check bool) ("codec: " ^ Event.pp ev) true (ev = ev')
+      | Error e -> Alcotest.fail e)
+    every_event;
+  let f = file_of every_event in
+  let f' = write_load f in
+  Alcotest.(check bool) "file: entries identical" true (f'.entries = f.entries);
+  Alcotest.(check string) "file: reason" "test" f'.reason;
+  match Event.check f' with Ok () -> () | Error e -> Alcotest.fail e
+
+let load_string content =
+  let path = temp_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc content);
+  let r = Event.load ~path in
+  Sys.remove path;
+  r
+
+let test_loader_rejects_bad_files () =
+  let header v =
+    Printf.sprintf
+      {|{"ftc_events":%d,"reason":"x","capacity":0,"recorded":1,"dropped":0,"metrics":[]}|} v
+  in
+  let file ?(version = Event.file_version) lines = String.concat "\n" (header version :: lines) in
+  let note = {|{"seq":0,"at_ns":5,"event":{"ev":"note","text":"a"}}|} in
+  (match load_string (file [ note ]) with
+  | Ok f -> Alcotest.(check int) "the handcrafted file loads" 1 (List.length f.entries)
+  | Error e -> Alcotest.fail e);
+  let rejects label content =
+    Alcotest.(check bool) label true (Result.is_error (load_string content))
+  in
+  rejects "empty file" "";
+  rejects "missing header" note;
+  rejects "unknown version" (file ~version:99 [ note ]);
+  rejects "malformed line" (file [ {|{"seq":0,"at_ns":5,"event":{"ev":"bogus"}}|} ]);
+  rejects "torn line" (file [ {|{"seq":0,"at_ns"|} ]);
+  rejects "version-1 black box"
+    {|{"blackbox":1,"reason":"x","capacity":1,"recorded":0,"dropped":0}|}
+
+(* -- exporters -- *)
+
+let sample_entries = (file_of (List.filteri (fun i _ -> i < 4) every_event)).entries
+
 let test_events_jsonl_round_trip () =
   let metrics = sample_metrics () in
-  let body = Export.events_jsonl ~metrics ~events:sample_events in
-  match Export.parse_events_jsonl body with
-  | Error e -> Alcotest.fail e
-  | Ok (metrics', events') ->
-      Alcotest.(check int) "metric count" (List.length metrics) (List.length metrics');
-      Alcotest.(check bool) "events identical" true (events' = sample_events);
-      List.iter2
-        (fun (n, v) (n', v') ->
-          Alcotest.(check string) "metric name" n n';
-          match (v, v') with
-          | Registry.Counter a, Registry.Counter b -> Alcotest.(check int) "counter" a b
-          | Registry.Gauge a, Registry.Gauge b -> Alcotest.(check int) "gauge" a b
-          | Registry.Hist a, Registry.Hist b ->
-              Alcotest.(check int) "hist count" (Hist.count a) (Hist.count b);
-              Alcotest.(check int) "hist sum" (Hist.sum a) (Hist.sum b);
-              Alcotest.(check (array int)) "hist buckets" (Hist.buckets a) (Hist.buckets b)
-          | _ -> Alcotest.fail "metric kind changed in transit")
-        metrics metrics'
+  let f' = write_load (file_of ~metrics (List.map (fun (e : Event.entry) -> e.ev) sample_entries)) in
+  Alcotest.(check int) "metric count" (List.length metrics) (List.length f'.metrics);
+  Alcotest.(check bool) "entries identical" true (f'.entries = sample_entries);
+  List.iter2
+    (fun (n, v) (n', v') ->
+      Alcotest.(check string) "metric name" n n';
+      match (v, v') with
+      | Registry.Counter a, Registry.Counter b -> Alcotest.(check int) "counter" a b
+      | Registry.Gauge a, Registry.Gauge b -> Alcotest.(check int) "gauge" a b
+      | Registry.Hist a, Registry.Hist b ->
+          Alcotest.(check int) "hist count" (Hist.count a) (Hist.count b);
+          Alcotest.(check int) "hist sum" (Hist.sum a) (Hist.sum b);
+          Alcotest.(check (array int)) "hist buckets" (Hist.buckets a) (Hist.buckets b)
+      | _ -> Alcotest.fail "metric kind changed in transit")
+    metrics f'.metrics
 
 let test_chrome_trace_round_trip () =
   (* The trace must survive a print → parse cycle through the journal
      codec and satisfy the structural validator Perfetto needs. *)
-  let body = Json.to_string (Export.chrome_trace sample_events) in
+  let body = Json.to_string (Export.chrome_trace (file_of every_event).entries) in
   (match Json.of_string body with
   | Error e -> Alcotest.fail ("trace.json does not re-parse: " ^ e)
   | Ok j -> (
@@ -228,7 +321,7 @@ let test_prometheus_snapshot () =
     (Astring.String.is_infix ~affix:"ftc_trial_msgs_bucket{le=\"+Inf\"}" body)
 
 let test_summary_mentions_phases () =
-  let s = Export.summary ~metrics:(sample_metrics ()) ~events:sample_events in
+  let s = Export.summary (file_of ~metrics:(sample_metrics ()) every_event) in
   Alcotest.(check bool) "trial line" true (Astring.String.is_infix ~affix:"trials: 1" s);
   Alcotest.(check bool) "phase row" true (Astring.String.is_infix ~affix:"a" s);
   Alcotest.(check bool) "protocol column" true (Astring.String.is_infix ~affix:"p" s)
@@ -240,17 +333,51 @@ let test_validators_reject_garbage () =
   (match Export.validate_trace_json "{\"traceEvents\": 3}" with
   | Ok _ -> Alcotest.fail "accepted non-array traceEvents"
   | Error _ -> ());
-  (match Export.validate_prometheus "metric_without_value\n" with
+  match Export.validate_prometheus "metric_without_value\n" with
   | Ok _ -> Alcotest.fail "accepted sample without value"
-  | Error _ -> ());
-  match Export.parse_events_jsonl "{\"not\":\"the magic\"}\n" with
-  | Ok _ -> Alcotest.fail "accepted stream without header"
   | Error _ -> ()
+
+(* A keep-going sweep with failures: the supervisor's per-trial
+   heartbeat names each trial's seed and outcome class, and the trials
+   themselves still emit exactly one [Trial] each. crash-probe under
+   first-send breaks agreement on 16 of seeds 1..20. *)
+let test_sweep_verdict_heartbeats () =
+  let module Case = Ftc_chaos.Case in
+  let module Supervise = Ftc_expt.Supervise in
+  let recorder = Recorder.create () in
+  let case seed =
+    Case.of_seed ~protocol:"crash-probe" ~n:8 ~alpha:0.7 ~adversary:(Some "first-send") seed
+  in
+  let run_trial seed =
+    match Case.run ~recorder (case seed) with
+    | Error e -> Error (Supervise.Exception, Case.error_to_string e)
+    | Ok (_, []) -> Ok ()
+    | Ok (_, _ :: _) -> Error (Supervise.Violation, "oracle findings")
+  in
+  let sweep =
+    Supervise.run
+      { Supervise.default_config with jobs = 2; keep_going = true; recorder }
+      ~spec_hash:"verdicts" ~encode:(fun _ () -> Json.Null) ~decode:(fun _ -> None) ~run_trial
+      ~seeds:(List.init 20 (fun i -> i + 1))
+      ()
+  in
+  Alcotest.(check int) "16 failed" 16 (List.length sweep.failed);
+  let events = Recorder.events recorder in
+  let verdicts =
+    List.filter_map (function Recorder.Heartbeat { verdict; _ } -> verdict | _ -> None) events
+    |> List.sort compare
+  in
+  Alcotest.(check (list int)) "one verdict heartbeat per seed" (List.init 20 (fun i -> i + 1))
+    (List.map fst verdicts);
+  Alcotest.(check int) "16 violation verdicts" 16
+    (List.length (List.filter (fun (_, c) -> c = "violation") verdicts));
+  Alcotest.(check int) "exactly 20 Trial events" 20
+    (List.length (List.filter (function Recorder.Trial _ -> true | _ -> false) events))
 
 let test_recorder_disabled () =
   Alcotest.(check bool) "disabled" false (Recorder.enabled Recorder.disabled);
   Alcotest.(check int64) "clock never read" 0L (Recorder.now_ns Recorder.disabled);
-  Recorder.emit Recorder.disabled (List.hd sample_events);
+  Recorder.emit Recorder.disabled (List.hd every_event);
   Alcotest.(check int) "no events kept" 0 (List.length (Recorder.events Recorder.disabled));
   Alcotest.(check bool) "registry disabled too" false
     (Registry.enabled (Recorder.registry Recorder.disabled))
@@ -284,4 +411,10 @@ let () =
         ] );
       ( "recorder",
         [ Alcotest.test_case "disabled recorder" `Quick test_recorder_disabled ] );
+      ( "event",
+        [
+          Alcotest.test_case "every constructor round-trips" `Quick test_every_event_round_trips;
+          Alcotest.test_case "loader rejects bad files" `Quick test_loader_rejects_bad_files;
+          Alcotest.test_case "sweep heartbeats carry verdicts" `Quick test_sweep_verdict_heartbeats;
+        ] );
     ]
