@@ -711,7 +711,7 @@ let clouds n alpha seed adversary_name scale_factor =
             (Ftc_expt.Runner.default_spec (Ftc_core.Agreement.make starved) ~n ~alpha) with
             Ftc_expt.Runner.inputs = Random_bits 0.5;
             adversary;
-            record_trace = true;
+            trace = Ftc_sim.Trace.Log;
           }
           ~seed
       in

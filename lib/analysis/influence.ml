@@ -14,7 +14,7 @@ let of_trace ~n trace =
   let member_orders = Hashtbl.create 8 in
   let edge_set = Hashtbl.create 64 in
   let edges = ref [] in
-  List.iter
+  Trace.iter
     (fun event ->
       match event with
       | Trace.Crash _ | Trace.Link_lost _ | Trace.Queue_dropped _ | Trace.Ecn_marked _
@@ -44,7 +44,7 @@ let of_trace ~n trace =
                 end)
               member_sets
           end)
-    (Trace.events trace);
+    trace;
   let initiators = List.rev !initiators in
   let clouds =
     List.map

@@ -93,7 +93,7 @@ let spec_of (entry : Catalog.entry) case =
     link = (fun () -> Omission.to_link case.loss);
     queue = case.queue;
     transport = (if case.transport then Some Transport.default_config else None);
-    record_trace = true;
+    trace = Ftc_sim.Trace.Tally;
     fast_protocol = Option.map (fun mk -> mk ()) entry.fast;
   }
 

@@ -59,14 +59,19 @@ val validate : t -> (Catalog.entry, error) result
     {e wrapped} round range when the case uses the transport — without
     running anything. *)
 
+val spec_of : Catalog.entry -> t -> Ftc_expt.Runner.spec
+(** The case as a runner spec (run by {!run}): exact inputs, the named
+    adversary or the crash plan, loss, queue, transport, the catalog's
+    codec port, and a {!Ftc_sim.Trace.Tally} trace for the trace-metrics
+    oracle. [entry] is the case's catalog entry ({!validate}). *)
+
 val run :
   ?watchdog:(unit -> bool) ->
   ?recorder:Ftc_telemetry.Recorder.t ->
   t ->
   (Ftc_sim.Engine.result * Oracle.finding list, error) result
-(** Validates the case, maps it to a {!Ftc_expt.Runner.spec} (with
-    tracing, so the trace-metrics oracle applies, and the catalog's codec
-    port as [fast_protocol]), runs it through {!Ftc_expt.Runner.run_judged}
+(** Validates the case, maps it to a {!Ftc_expt.Runner.spec} by
+    {!spec_of}, runs it through {!Ftc_expt.Runner.run_judged}
     and judges it against every applicable oracle. The engine config,
     transport wrapper, port choice, watchdog and telemetry are all the
     runner's: the port runs unless the case is transport-wrapped, and the

@@ -29,26 +29,7 @@ let check_trace_metrics (r : Engine.result) =
   match r.trace with
   | None -> []
   | Some t ->
-      let sends = ref 0
-      and undelivered = ref 0
-      and bits = ref 0
-      and crashes = ref 0
-      and link_lost = ref 0
-      and queue_dropped = ref 0
-      and ecn_marked = ref 0
-      and unroutable = ref 0 in
-      List.iter
-        (function
-          | Trace.Send { bits = b; delivered; _ } ->
-              incr sends;
-              bits := !bits + b;
-              if not delivered then incr undelivered
-          | Trace.Crash _ -> incr crashes
-          | Trace.Link_lost _ -> incr link_lost
-          | Trace.Queue_dropped _ -> incr queue_dropped
-          | Trace.Ecn_marked _ -> incr ecn_marked
-          | Trace.Unroutable _ -> incr unroutable)
-        (Trace.events t);
+      let c = Trace.counts t in
       let mismatch what a b = finding "trace-metrics" "%s: trace %d <> metrics %d" what a b in
       let crashed_count = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 r.crashed in
       (* Every link loss and queue drop is also an undelivered Send event,
@@ -57,27 +38,28 @@ let check_trace_metrics (r : Engine.result) =
       let m = r.metrics in
       List.concat
         [
-          (if !sends <> m.msgs_sent then [ mismatch "sends" !sends m.msgs_sent ] else []);
-          (if !bits <> m.bits_sent then [ mismatch "bits" !bits m.bits_sent ] else []);
-          (if !undelivered <> m.msgs_dropped + m.msgs_lost_link + m.msgs_dropped_queue then
+          (if c.sends <> m.msgs_sent then [ mismatch "sends" c.sends m.msgs_sent ] else []);
+          (if c.bits <> m.bits_sent then [ mismatch "bits" c.bits m.bits_sent ] else []);
+          (if c.undelivered <> m.msgs_dropped + m.msgs_lost_link + m.msgs_dropped_queue then
              [
-               mismatch "undelivered" !undelivered
+               mismatch "undelivered" c.undelivered
                  (m.msgs_dropped + m.msgs_lost_link + m.msgs_dropped_queue);
              ]
            else []);
-          (if !link_lost <> m.msgs_lost_link then
-             [ mismatch "link-losses" !link_lost m.msgs_lost_link ]
+          (if c.link_lost <> m.msgs_lost_link then
+             [ mismatch "link-losses" c.link_lost m.msgs_lost_link ]
            else []);
-          (if !queue_dropped <> m.msgs_dropped_queue then
-             [ mismatch "queue-drops" !queue_dropped m.msgs_dropped_queue ]
+          (if c.queue_dropped <> m.msgs_dropped_queue then
+             [ mismatch "queue-drops" c.queue_dropped m.msgs_dropped_queue ]
            else []);
-          (if !ecn_marked <> m.msgs_ecn_marked then
-             [ mismatch "ecn-marks" !ecn_marked m.msgs_ecn_marked ]
+          (if c.ecn_marked <> m.msgs_ecn_marked then
+             [ mismatch "ecn-marks" c.ecn_marked m.msgs_ecn_marked ]
            else []);
-          (if !unroutable <> m.msgs_unroutable then
-             [ mismatch "unroutable" !unroutable m.msgs_unroutable ]
+          (if c.unroutable <> m.msgs_unroutable then
+             [ mismatch "unroutable" c.unroutable m.msgs_unroutable ]
            else []);
-          (if !crashes <> crashed_count then [ mismatch "crashes" !crashes crashed_count ] else []);
+          (if c.crashes <> crashed_count then [ mismatch "crashes" c.crashes crashed_count ]
+           else []);
         ]
 
 let check_election ~explicit (r : Engine.result) =

@@ -7,10 +7,11 @@
     - ["congest"] — no per-edge-per-round CONGEST budget violation;
     - ["termination"] — the run did not exhaust its round budget with
       messages in flight (only for protocols that promise quiescence);
-    - ["trace-metrics"] — the trace and the metrics describe the same
-      execution: send/bit/crash counts agree, undelivered sends reconcile
-      with crash drops plus link losses, and the [Link_lost] /
-      [Unroutable] markers match their metric counters;
+    - ["trace-metrics"] — the trace's tally and the metrics describe the
+      same execution: send/bit/crash counts agree, undelivered sends
+      reconcile with crash drops plus link losses plus queue drops, and
+      the link-loss, queue-drop, ECN and unroutable counts match their
+      metric counters ({!Ftc_sim.Trace.counts});
     - ["election"] / ["election-explicit"] / ["agreement"] /
       ["agreement-explicit"] — the problem specification (Definitions 1
       and 2 of the paper) via {!Ftc_core.Properties}.
@@ -29,7 +30,7 @@ val check :
   Ftc_sim.Engine.result ->
   finding list
 (** All applicable oracles, in a deterministic order; [[]] = clean run.
-    The trace oracle only fires when the run recorded a trace.
+    The trace oracle only fires when the run kept a trace ([Tally] or [Log]).
     [~lossy_raw:true] (a raw protocol run under an omission model it was
     never designed for) keeps only the accounting oracles — model, congest,
     trace-metrics — since failing to elect or agree under loss is measured

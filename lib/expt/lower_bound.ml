@@ -22,7 +22,7 @@ let probe_agreement ~n ~alpha ~seed s =
     {
       (Runner.default_spec (Ftc_core.Agreement.make (starved_params s)) ~n ~alpha) with
       inputs = Runner.Random_bits 0.5;
-      record_trace = true;
+      trace = Ftc_sim.Trace.Log;
     }
   in
   let o = Runner.run spec ~seed in

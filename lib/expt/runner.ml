@@ -14,7 +14,7 @@ type spec = {
   queue : Ftc_sim.Queue_model.config option;
   transport : Ftc_transport.Transport.config option;
   congest : bool;
-  record_trace : bool;
+  trace : Ftc_sim.Trace.mode;
   trial_timeout : float option;
   fast_protocol : (module Ftc_sim.Fast_protocol.S) option;
 }
@@ -30,7 +30,7 @@ let default_spec protocol ~n ~alpha =
     queue = None;
     transport = None;
     congest = true;
-    record_trace = false;
+    trace = Ftc_sim.Trace.Off;
     trial_timeout = None;
     fast_protocol = None;
   }
@@ -116,7 +116,7 @@ let run_judged ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) spec ~see
       congest_limit =
         (if spec.congest then Some (congest_factor * Ftc_sim.Congest.default_limit ~n:spec.n)
          else None);
-      record_trace = spec.record_trace;
+      trace = spec.trace;
       max_rounds_override = None;
       watchdog =
         (match watchdog with

@@ -20,7 +20,9 @@ type spec = {
       (** [Some _] wraps the protocol in the reliable transport (and doubles
           the CONGEST budget: data and ack can share an edge-round). *)
   congest : bool;  (** false = LOCAL (no per-edge bit budget). *)
-  record_trace : bool;
+  trace : Ftc_sim.Trace.mode;
+      (** {!Ftc_sim.Engine.config.trace}: [Tally] for the chaos oracles,
+          [Log] only for readers of the event sequence. *)
   trial_timeout : float option;
       (** Wall-clock budget in seconds for one trial. When set, {!run}
           arms a cooperative watchdog ({!Ftc_sim.Engine.config.watchdog})

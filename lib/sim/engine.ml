@@ -9,7 +9,7 @@ type config = {
   link : Link.t;
   queue : Queue_model.config option;
   congest_limit : int option;
-  record_trace : bool;
+  trace : Trace.mode;
   max_rounds_override : int option;
   watchdog : (unit -> bool) option;
   round_clock : (unit -> int64) option;
@@ -40,7 +40,7 @@ let default_config ~n ~alpha ~seed =
     link = Link.reliable;
     queue = None;
     congest_limit = Some (Congest.default_limit ~n);
-    record_trace = false;
+    trace = Trace.Off;
     max_rounds_override = None;
     watchdog = None;
     round_clock = None;
@@ -230,11 +230,9 @@ module Make_codec (P : Fast_protocol.S) = struct
     let is_crashed i = Bytes.unsafe_get crashed i <> '\000' in
     let crash_round = Array.make n (-1) in
     let metrics = Metrics.create () in
-    let trace = if config.record_trace then Some (Trace.create ()) else None in
-    let trace_add e = match trace with Some t -> Trace.add t e | None -> () in
-    (* Per-message call sites test this before building the event, so an
-       untraced run allocates nothing for tracing. *)
-    let tracing = trace <> None in
+    (* Events go straight into the sink through unboxed calls, so neither
+       an untraced nor a tallied run allocates per event. *)
+    let trace = Trace.create config.trace in
     let max_rounds =
       match config.max_rounds_override with
       | Some r -> r
@@ -366,7 +364,7 @@ module Make_codec (P : Fast_protocol.S) = struct
       match Ports.fresh_peer wiring_rng ports.(src) ~n ~self:src with
       | None ->
           Metrics.record_unroutable metrics ~round:!cur_round;
-          trace_add (Trace.Unroutable { round = !cur_round; node = src })
+          (match trace with Some t -> Trace.unroutable t ~round:!cur_round ~node:src | None -> ())
       | Some peer ->
           let _port = Ports.port_to ports.(src) peer in
           resolved ~dst:peer w0 w1 w2
@@ -530,7 +528,7 @@ module Make_codec (P : Fast_protocol.S) = struct
             Bytes.set crashed v '\001';
             crash_round.(v) <- r;
             if P.decide t v = Decision.Undecided then decr live_undecided;
-            trace_add (Trace.Crash { round = r; node = v });
+            (match trace with Some t -> Trace.crash t ~round:r ~node:v | None -> ());
             if snd_stamp.(v) = r then begin
               let first = snd_first.(v) and last = snd_end.(v) - 1 in
               match rule with
@@ -597,37 +595,35 @@ module Make_codec (P : Fast_protocol.S) = struct
         let fl = Char.code (Bytes.unsafe_get flags k) in
         if fl land f_queue_dropped <> 0 then begin
           Metrics.record_queue_drop metrics ~round:r ~bits:bits.(k);
-          if tracing then begin
-            trace_add
-              (Trace.Send
-                 { round = r; src = src.(k); dst = dst.(k); bits = bits.(k); delivered = false });
-            trace_add
-              (Trace.Queue_dropped { round = r; src = src.(k); dst = dst.(k); bits = bits.(k) })
-          end
+          match trace with
+          | Some t ->
+              Trace.send t ~round:r ~src:src.(k) ~dst:dst.(k) ~bits:bits.(k) ~delivered:false;
+              Trace.queue_dropped t ~round:r ~src:src.(k) ~dst:dst.(k) ~bits:bits.(k)
+          | None -> ()
         end
         else if fl land f_link_dropped <> 0 then begin
           Metrics.record_link_loss metrics ~round:r ~bits:bits.(k);
-          if tracing then begin
-            trace_add
-              (Trace.Send
-                 { round = r; src = src.(k); dst = dst.(k); bits = bits.(k); delivered = false });
-            trace_add (Trace.Link_lost { round = r; src = src.(k); dst = dst.(k); bits = bits.(k) })
-          end
+          match trace with
+          | Some t ->
+              Trace.send t ~round:r ~src:src.(k) ~dst:dst.(k) ~bits:bits.(k) ~delivered:false;
+              Trace.link_lost t ~round:r ~src:src.(k) ~dst:dst.(k) ~bits:bits.(k)
+          | None -> ()
         end
         else begin
           let delivered = fl land f_dropped = 0 in
           incr fw_msgs;
           fw_bits := !fw_bits + bits.(k);
           if not delivered then incr fw_dropped;
-          if tracing then
-            trace_add
-              (Trace.Send { round = r; src = src.(k); dst = dst.(k); bits = bits.(k); delivered });
+          (match trace with
+          | Some t -> Trace.send t ~round:r ~src:src.(k) ~dst:dst.(k) ~bits:bits.(k) ~delivered
+          | None -> ());
           if delivered then begin
             fport.(k) <- Ports.port_to ports.(dst.(k)) src.(k);
             if fl land f_ecn <> 0 then begin
               Metrics.record_ecn_mark metrics ~round:r;
-              if tracing then
-                trace_add (Trace.Ecn_marked { round = r; src = src.(k); dst = dst.(k) })
+              match trace with
+              | Some t -> Trace.ecn_marked t ~round:r ~src:src.(k) ~dst:dst.(k)
+              | None -> ()
             end
           end
         end

@@ -40,7 +40,9 @@ type config = {
       (** Bounded per-destination ingress queues; [None] (the default,
           the paper model) gives links unbounded capacity. *)
   congest_limit : int option;  (** Per-edge per-round bits; [None] = LOCAL. *)
-  record_trace : bool;
+  trace : Trace.mode;
+      (** [Off] (the default) records nothing; [Tally] counts events per
+          kind; [Log] also keeps them in order (see {!Trace}). *)
   max_rounds_override : int option;
   watchdog : (unit -> bool) option;
       (** Cooperative per-trial watchdog: polled once per round, between
@@ -77,7 +79,7 @@ type result = {
       (** The [config.watchdog] poll fired and the run was stopped early
           at a round boundary. Mutually exclusive with [timed_out]. *)
   metrics : Metrics.t;
-  trace : Trace.t option;
+  trace : Trace.t option;  (** [Some] iff [config.trace] is not [Off]. *)
   violations : Violation.t list;
       (** Model violations (KT0 protocol used [Node] addressing, unknown
           port, adversary crashed a non-faulty node, ...). Empty in any

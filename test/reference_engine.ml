@@ -79,7 +79,7 @@ module Make (P : Protocol.S) = struct
     let crashed = Array.make n false in
     let crash_round = Array.make n (-1) in
     let metrics = Metrics.create () in
-    let trace = if config.record_trace then Some (Trace.create ()) else None in
+    let trace = Trace.create config.trace in
     let trace_add e = Option.iter (fun t -> Trace.add t e) trace in
     let inboxes = Array.make n [] in
     let max_rounds =

@@ -106,7 +106,7 @@ let test_csv_write_roundtrip () =
 (* -- Influence clouds -- *)
 
 let trace_of events =
-  let t = Trace.create () in
+  let t = Option.get (Trace.create Trace.Log) in
   List.iter (Trace.add t) events;
   t
 

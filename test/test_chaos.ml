@@ -59,7 +59,7 @@ let test_trace_metrics_every_adversary () =
           {
             (Engine.default_config ~n:96 ~alpha:0.6 ~seed:17) with
             adversary = adv ();
-            record_trace = true;
+            trace = Trace.Log;
           }
       in
       Alcotest.(check (list string))
@@ -70,7 +70,7 @@ let test_trace_metrics_every_adversary () =
       | None -> Alcotest.fail "trace missing"
       | Some t ->
           let sends = ref 0 and dropped = ref 0 and bits = ref 0 and delivered_bits = ref 0 in
-          List.iter
+          Trace.iter
             (function
               | Trace.Send { bits = b; delivered; _ } ->
                   incr sends;
@@ -78,7 +78,7 @@ let test_trace_metrics_every_adversary () =
                   if delivered then delivered_bits := !delivered_bits + b else incr dropped
               | Trace.Crash _ | Trace.Link_lost _ | Trace.Queue_dropped _ | Trace.Ecn_marked _
               | Trace.Unroutable _ -> ())
-            (Trace.events t);
+            t;
           Alcotest.(check int) (name ^ ": sends = msgs_sent") r.metrics.msgs_sent !sends;
           Alcotest.(check int) (name ^ ": drops = msgs_dropped") r.metrics.msgs_dropped !dropped;
           Alcotest.(check int) (name ^ ": bits = bits_sent") r.metrics.bits_sent !bits;
@@ -103,6 +103,199 @@ let clean_case =
     queue = None;
     transport = false;
   }
+
+(* -- the trace as a sink: Case.run tallies, sequence readers log -- *)
+
+module Runner = Ftc_expt.Runner
+module Omission = Ftc_fault.Omission
+module Queue_model = Ftc_sim.Queue_model
+
+let entry_of (case : Case.t) = Option.get (Chaos.Catalog.find case.protocol)
+
+(* [case] run through the spec [Case.run] uses, with the trace in [mode]. *)
+let run_mode mode (case : Case.t) =
+  (Runner.run { (Case.spec_of (entry_of case) case) with Runner.trace = mode } ~seed:case.seed)
+    .Runner.result
+
+let no_counts =
+  {
+    Trace.sends = 0;
+    bits = 0;
+    undelivered = 0;
+    crashes = 0;
+    link_lost = 0;
+    queue_dropped = 0;
+    ecn_marked = 0;
+    unroutable = 0;
+  }
+
+(* Length and per-kind counts of a log, re-counted from its events. *)
+let folded_counts log =
+  Trace.fold
+    (fun (len, (c : Trace.counts)) e ->
+      ( len + 1,
+        match e with
+        | Trace.Send { bits; delivered; _ } ->
+            {
+              c with
+              sends = c.sends + 1;
+              bits = c.bits + bits;
+              undelivered = (if delivered then c.undelivered else c.undelivered + 1);
+            }
+        | Trace.Crash _ -> { c with crashes = c.crashes + 1 }
+        | Trace.Link_lost _ -> { c with link_lost = c.link_lost + 1 }
+        | Trace.Queue_dropped _ -> { c with queue_dropped = c.queue_dropped + 1 }
+        | Trace.Ecn_marked _ -> { c with ecn_marked = c.ecn_marked + 1 }
+        | Trace.Unroutable _ -> { c with unroutable = c.unroutable + 1 } ))
+    (0, no_counts) log
+
+let sink_axes =
+  [
+    ("loss", fun (c : Case.t) -> { c with adversary = Some "random"; loss = Omission.Uniform 0.1 });
+    ( "red",
+      fun c ->
+        {
+          c with
+          adversary = Some "random";
+          queue = Some (Queue_model.make ~capacity:3 ~discipline:Queue_model.Red ());
+        } );
+    ( "ecn",
+      fun c -> { c with queue = Some (Queue_model.make ~capacity:2 ~discipline:Queue_model.Ecn ()) }
+    );
+    ("transport", fun c -> { c with loss = Omission.Uniform 0.05; transport = true });
+  ]
+
+(* For every catalog protocol under every axis, the tally [Case.run]
+   returns has the length and counts of the logged run's events. *)
+let test_tally_equals_folded_log () =
+  let seen = ref no_counts in
+  List.iter
+    (fun (entry : Chaos.Catalog.entry) ->
+      List.iter
+        (fun (axis, vary) ->
+          let case = vary (Case.of_seed ~protocol:entry.name ~n:24 ~alpha:0.7 ~adversary:None 3) in
+          let ctx = entry.name ^ " " ^ axis in
+          match Case.run case with
+          | Error e -> Alcotest.failf "%s: %s" ctx (Case.error_to_string e)
+          | Ok (r, _) ->
+              let tally = Option.get r.Engine.trace in
+              Alcotest.(check bool) (ctx ^ ": Case.run keeps no events") false
+                (Trace.is_log tally);
+              let log = Option.get (run_mode Trace.Log case).Engine.trace in
+              let len, counts = folded_counts log in
+              Alcotest.(check int) (ctx ^ ": length") len (Trace.length tally);
+              Alcotest.(check bool) (ctx ^ ": counts") true (counts = Trace.counts tally);
+              Alcotest.(check bool) (ctx ^ ": the log's own tally") true
+                (counts = Trace.counts log);
+              let s = !seen in
+              seen :=
+                {
+                  s with
+                  crashes = s.crashes + counts.crashes;
+                  link_lost = s.link_lost + counts.link_lost;
+                  queue_dropped = s.queue_dropped + counts.queue_dropped;
+                  ecn_marked = s.ecn_marked + counts.ecn_marked;
+                })
+        sink_axes)
+    (Chaos.Catalog.all @ Chaos.Catalog.extras);
+  let s = !seen in
+  Alcotest.(check bool) "the axes crash, lose, drop and mark" true
+    (s.crashes > 0 && s.link_lost > 0 && s.queue_dropped > 0 && s.ecn_marked > 0)
+
+(* A tally that disagrees with the metrics is a trace-metrics finding. *)
+let test_trace_metrics_oracle_fires () =
+  match Case.run clean_case with
+  | Error e -> Alcotest.fail (Case.error_to_string e)
+  | Ok (r, findings) ->
+      Alcotest.(check int) "clean before tampering" 0 (List.length findings);
+      let m = r.Engine.metrics in
+      let t = Option.get r.Engine.trace in
+      Trace.send t ~round:0 ~src:0 ~dst:1 ~bits:5 ~delivered:false;
+      Trace.crash t ~round:0 ~node:0;
+      let undelivered = m.msgs_dropped + m.msgs_lost_link + m.msgs_dropped_queue in
+      Alcotest.(check (list string))
+        "trace-metrics findings"
+        [
+          Printf.sprintf "[trace-metrics] sends: trace %d <> metrics %d" (m.msgs_sent + 1)
+            m.msgs_sent;
+          Printf.sprintf "[trace-metrics] bits: trace %d <> metrics %d" (m.bits_sent + 5)
+            m.bits_sent;
+          Printf.sprintf "[trace-metrics] undelivered: trace %d <> metrics %d" (undelivered + 1)
+            undelivered;
+          "[trace-metrics] crashes: trace 1 <> metrics 0";
+        ]
+        (List.map
+           (fun f -> Format.asprintf "%a" Oracle.pp f)
+           (Oracle.check (entry_of clean_case) ~inputs:clean_case.inputs r))
+
+let sink_cases =
+  List.concat_map
+    (fun seed ->
+      [
+        Case.of_seed ~protocol:"ft-leader-election" ~n:48 ~alpha:0.5 ~adversary:(Some "random")
+          seed;
+        Case.of_seed ~loss:(Omission.Uniform 0.1) ~protocol:"ft-agreement" ~n:32 ~alpha:0.6
+          ~adversary:(Some "eager") seed;
+        Case.of_seed
+          ~queue:(Queue_model.make ~capacity:3 ~discipline:Queue_model.Red ())
+          ~protocol:"floodset" ~n:16 ~alpha:0.7 ~adversary:None seed;
+      ])
+    [ 1; 2; 3 ]
+
+let tally_summary case =
+  match Case.run case with
+  | Error e -> failwith (Case.error_to_string e)
+  | Ok (r, findings) ->
+      let t = Option.get r.Engine.trace in
+      ( Trace.length t,
+        Trace.counts t,
+        List.map (fun f -> Format.asprintf "%a" Oracle.pp f) findings )
+
+(* Two domains running Case.run at once get the sequential tallies and
+   findings: no trace state is shared between runs. *)
+let test_case_run_on_two_domains () =
+  let seq = List.map tally_summary sink_cases in
+  let other = Domain.spawn (fun () -> List.map tally_summary sink_cases) in
+  let here = List.map tally_summary (List.rev sink_cases) in
+  let there = Domain.join other in
+  Alcotest.(check bool) "other domain = sequential" true (there = seq);
+  Alcotest.(check bool) "this domain = sequential" true (List.rev here = seq)
+
+(* A returned trace is the caller's: later runs on the same domain, which
+   reuse the engine's scratch buffers, leave it as it was. *)
+let test_returned_traces_outlive_later_runs () =
+  let case = List.hd sink_cases in
+  let r = Option.get (fst (Result.get_ok (Case.run case))).Engine.trace in
+  let log = Option.get (run_mode Trace.Log case).Engine.trace in
+  let before = (Trace.length r, Trace.counts r, folded_counts log) in
+  List.iter (fun c -> ignore (Case.run c); ignore (run_mode Trace.Log c)) (List.tl sink_cases);
+  Alcotest.(check bool) "tally and log unchanged" true
+    (before = (Trace.length r, Trace.counts r, folded_counts log))
+
+(* Tallying is free per event: a warm Case.run allocates at most 1.1x
+   the minor words of the same case run untraced. *)
+let test_tally_allocation_gate () =
+  let case =
+    Case.of_seed ~protocol:"ft-leader-election" ~n:48 ~alpha:0.125 ~adversary:(Some "random")
+      1001
+  in
+  let entry = entry_of case in
+  let untraced () =
+    ignore (Case.validate case);
+    ignore (Oracle.check entry ~inputs:case.inputs (run_mode Trace.Off case))
+  in
+  let tallied () = ignore (Case.run case) in
+  let minor_words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let off = minor_words untraced and tally = minor_words tallied in
+  Alcotest.(check bool)
+    (Printf.sprintf "tallied %.0f words <= 1.1 x untraced %.0f (%.2fx)" tally off (tally /. off))
+    true
+    (tally <= 1.1 *. off)
 
 let test_oracles_clean_on_good_run () =
   match Case.run clean_case with
@@ -563,5 +756,17 @@ let () =
         [
           Alcotest.test_case "deterministic + clean" `Slow test_fuzz_deterministic_and_clean;
           Alcotest.test_case "gen_case" `Quick test_gen_case_deterministic_and_valid;
+        ] );
+      ( "trace-sink",
+        [
+          Alcotest.test_case "tally = folded log, every protocol x axis" `Quick
+            test_tally_equals_folded_log;
+          Alcotest.test_case "trace-metrics fires on a disagreeing tally" `Quick
+            test_trace_metrics_oracle_fires;
+          Alcotest.test_case "Case.run on two domains = sequential" `Quick
+            test_case_run_on_two_domains;
+          Alcotest.test_case "returned traces outlive later runs" `Quick
+            test_returned_traces_outlive_later_runs;
+          Alcotest.test_case "tally allocates <= 1.1x untraced" `Quick test_tally_allocation_gate;
         ] );
     ]

@@ -155,7 +155,7 @@ let run_beacon ~plan =
       alpha = 0.5;
       inputs = Some inputs;
       adversary = Ftc_fault.Strategy.scheduled plan ();
-      record_trace = true;
+      trace = Trace.Log;
     }
 
 let test_crash_drop_all () =
@@ -197,24 +197,20 @@ let test_timed_out_flag () =
   let r = E.run { (base_config ~n ()) with inputs = Some inputs } in
   Alcotest.(check bool) "quiescent run does not" false r.timed_out
 
+(* Logged events satisfying [p]. *)
+let count p t = Trace.fold (fun acc e -> if p e then acc + 1 else acc) 0 t
+
 let test_trace_records_crash_and_sends () =
   let r = run_beacon ~plan:[ (7, 2, Adversary.Drop_all) ] in
   match r.trace with
   | None -> Alcotest.fail "trace requested but absent"
   | Some t ->
-      let events = Trace.events t in
-      let crashes =
-        List.filter (function Trace.Crash { node = 7; round = 2 } -> true | _ -> false) events
-      in
-      Alcotest.(check int) "one crash event" 1 (List.length crashes);
-      let sends = List.filter (function Trace.Send _ -> true | _ -> false) events in
-      Alcotest.(check int) "all sends traced" 6 (List.length sends);
-      let lost =
-        List.filter
-          (function Trace.Send { delivered = false; _ } -> true | _ -> false)
-          events
-      in
-      Alcotest.(check int) "lost send traced" 1 (List.length lost)
+      Alcotest.(check int) "one crash event" 1
+        (count (function Trace.Crash { node = 7; round = 2 } -> true | _ -> false) t);
+      Alcotest.(check int) "all sends traced" 6
+        (count (function Trace.Send _ -> true | _ -> false) t);
+      Alcotest.(check int) "lost send traced" 1
+        (count (function Trace.Send { delivered = false; _ } -> true | _ -> false) t)
 
 (* -- omission-fault link stage -- *)
 
@@ -229,7 +225,7 @@ let test_link_total_loss_balanced () =
         (base_config ~n ~seed:9 ()) with
         inputs = Some inputs;
         link = Ftc_fault.Omission.lossy_uniform ~rate:1.0 ();
-        record_trace = true;
+        trace = Trace.Log;
       }
   in
   Alcotest.(check (list string)) "no errors" [] (List.map Ftc_sim.Violation.to_string r.violations);
@@ -246,14 +242,10 @@ let test_link_total_loss_balanced () =
   match r.trace with
   | None -> Alcotest.fail "trace requested but absent"
   | Some t ->
-      let events = Trace.events t in
       let undelivered =
-        List.length
-          (List.filter (function Trace.Send { delivered = false; _ } -> true | _ -> false) events)
+        count (function Trace.Send { delivered = false; _ } -> true | _ -> false) t
       in
-      let link_lost =
-        List.length (List.filter (function Trace.Link_lost _ -> true | _ -> false) events)
-      in
+      let link_lost = count (function Trace.Link_lost _ -> true | _ -> false) t in
       Alcotest.(check int) "every send traced undelivered" 9 undelivered;
       Alcotest.(check int) "every loss has a Link_lost marker" 9 link_lost
 
@@ -267,7 +259,7 @@ let test_link_partial_loss_reconciles () =
         (base_config ~n ~seed:4 ()) with
         inputs = Some inputs;
         link = Ftc_fault.Omission.lossy_uniform ~rate:0.5 ();
-        record_trace = true;
+        trace = Trace.Log;
       }
   in
   Alcotest.(check bool) "some messages lost" true (r.metrics.msgs_lost_link > 0);
@@ -277,7 +269,7 @@ let test_link_partial_loss_reconciles () =
   | None -> Alcotest.fail "trace requested but absent"
   | Some t ->
       let sends = ref 0 and undelivered = ref 0 and link_lost = ref 0 in
-      List.iter
+      Trace.iter
         (function
           | Trace.Send { delivered; _ } ->
               incr sends;
@@ -285,7 +277,7 @@ let test_link_partial_loss_reconciles () =
           | Trace.Link_lost _ -> incr link_lost
           | Trace.Crash _ | Trace.Queue_dropped _ | Trace.Ecn_marked _ | Trace.Unroutable _ ->
               ())
-        (Trace.events t);
+        t;
       Alcotest.(check int) "sends match metrics" r.metrics.msgs_sent !sends;
       Alcotest.(check int) "losses match metrics" r.metrics.msgs_lost_link !link_lost;
       Alcotest.(check int) "undelivered = drops + link losses"
@@ -316,7 +308,7 @@ let test_unroutable_fresh_sends_counted () =
   let fan = 7 in
   let inputs = Array.make n 0 in
   inputs.(3) <- fan;
-  let r = E.run { (base_config ~n ()) with inputs = Some inputs; record_trace = true } in
+  let r = E.run { (base_config ~n ()) with inputs = Some inputs; trace = Trace.Log } in
   Alcotest.(check (list string)) "no errors" [] (List.map Ftc_sim.Violation.to_string r.violations);
   (* n-1 = 3 pings routable (plus 3 pongs back); 4 pings unroutable. *)
   Alcotest.(check int) "unroutable counted" (fan - (n - 1)) r.metrics.msgs_unroutable;
@@ -324,11 +316,8 @@ let test_unroutable_fresh_sends_counted () =
   match r.trace with
   | None -> Alcotest.fail "trace requested but absent"
   | Some t ->
-      let unroutable =
-        List.filter (function Trace.Unroutable { node = 3; _ } -> true | _ -> false)
-          (Trace.events t)
-      in
-      Alcotest.(check int) "unroutable events traced" (fan - (n - 1)) (List.length unroutable)
+      Alcotest.(check int) "unroutable events traced" (fan - (n - 1))
+        (count (function Trace.Unroutable { node = 3; _ } -> true | _ -> false) t)
 
 let test_adversary_cannot_crash_non_faulty () =
   let module E = Engine.Make (Beacon) in

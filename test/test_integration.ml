@@ -33,7 +33,7 @@ let run_traced (module P : Ftc_sim.Protocol.S) ~seed =
     {
       (Engine.default_config ~n ~alpha:0.7 ~seed) with
       inputs = Some inputs;
-      record_trace = true;
+      trace = Trace.Log;
       adversary = Ftc_fault.Strategy.random_crashes ~horizon:64 ();
     }
 
@@ -45,7 +45,7 @@ let trace_consistency name proto () =
   | Some t ->
       let sends = ref 0 and dropped = ref 0 and bits = ref 0 in
       let crashes = ref 0 in
-      List.iter
+      Trace.iter
         (fun e ->
           match e with
           | Trace.Send { bits = b; delivered; round; src; dst } ->
@@ -63,7 +63,7 @@ let trace_consistency name proto () =
           | Trace.Link_lost _ | Trace.Queue_dropped _ | Trace.Ecn_marked _ | Trace.Unroutable _
             ->
               Alcotest.fail (name ^ ": link events impossible on reliable links"))
-        (Trace.events t);
+        t;
       Alcotest.(check int) (name ^ ": trace sends = metrics") r.metrics.msgs_sent !sends;
       Alcotest.(check int) (name ^ ": trace drops = metrics") r.metrics.msgs_dropped !dropped;
       Alcotest.(check int) (name ^ ": trace bits = metrics") r.metrics.bits_sent !bits;

@@ -21,9 +21,11 @@ module Stats = Ftc_analysis.Stats
 let job_counts = [ 1; 2; 4 ]
 let seeds = Runner.seeds ~base:7 ~count:5
 
-(* Field-by-field equality. [Trace.t] is abstract, so the recorded event
-   lists are compared rather than the log values themselves; everything
-   else is immutable-after-run data where structural equality is exact. *)
+(* Field-by-field equality. [Trace.t] is abstract, so the logged events
+   are compared rather than the log values themselves; everything else is
+   immutable-after-run data where structural equality is exact. *)
+let events t = List.rev (Trace.fold (fun acc e -> e :: acc) [] t)
+
 let outcome_equal (a : Runner.outcome) (b : Runner.outcome) =
   let ra = a.result and rb = b.result in
   a.seed = b.seed
@@ -42,7 +44,7 @@ let outcome_equal (a : Runner.outcome) (b : Runner.outcome) =
   &&
   match (ra.trace, rb.trace) with
   | None, None -> true
-  | Some ta, Some tb -> Trace.events ta = Trace.events tb
+  | Some ta, Some tb -> events ta = events tb
   | _ -> false
 
 (* [raw] compares through [run_many_par_raw] against per-seed [Runner.run],
@@ -80,7 +82,7 @@ let base_spec protocol =
   {
     (Runner.default_spec protocol ~n:48 ~alpha:0.7) with
     Runner.inputs = Runner.Random_bits 0.5;
-    record_trace = true;
+    trace = Trace.Log;
   }
 
 (* Both protocols under all seven adversary strategies, traces on. *)

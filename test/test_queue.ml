@@ -142,7 +142,7 @@ let run_funnel ?(n = 24) ?(fan = 2) ?(rounds = 4) ?(seed = 3) ?queue ?(trace = f
         (Engine.default_config ~n ~alpha:1.0 ~seed) with
         queue;
         congest_limit = None;
-        record_trace = trace;
+        trace = (if trace then Trace.Log else Trace.Off);
       }
   in
   (r, received, !marks)
@@ -197,7 +197,7 @@ let test_trace_reconciles () =
   | None -> Alcotest.fail "trace missing"
   | Some t ->
       let sends = ref 0 and undelivered = ref 0 and qdrops = ref 0 and emarks = ref 0 in
-      List.iter
+      Trace.iter
         (function
           | Trace.Send { delivered; _ } ->
               incr sends;
@@ -205,7 +205,7 @@ let test_trace_reconciles () =
           | Trace.Queue_dropped _ -> incr qdrops
           | Trace.Ecn_marked _ -> incr emarks
           | Trace.Crash _ | Trace.Link_lost _ | Trace.Unroutable _ -> ())
-        (Trace.events t);
+        t;
       Alcotest.(check int) "sends = metrics" r.Engine.metrics.msgs_sent !sends;
       Alcotest.(check bool) "red early-drops under load" true (!qdrops > 0);
       Alcotest.(check int) "queue-drop events = metric" r.Engine.metrics.msgs_dropped_queue
