@@ -2,6 +2,7 @@ module Protocol = Ftc_sim.Protocol
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
 module Congest = Ftc_sim.Congest
+module Fanout = Ftc_sim.Fanout
 module Params = Ftc_core.Params
 module Dist = Ftc_rng.Dist
 
@@ -41,53 +42,47 @@ end) : Protocol.S with type msg = msg = struct
     let is_candidate = Dist.bernoulli ctx.rng p in
     { input; is_candidate; referee = None; best = input; decision = Decision.Undecided }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
-    let actions = ref [] in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        match payload with
-        | Bit b ->
-            let r =
-              match st.referee with
-              | Some r -> r
-              | None ->
-                  let r = { cand_ports = []; min_bit = 1 } in
-                  st.referee <- Some r;
-                  r
-            in
-            r.cand_ports <- from_port :: r.cand_ports;
-            if b < r.min_bit then r.min_bit <- b
-        | Min_bit b -> if b < st.best then st.best <- b)
-      inbox;
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      match Protocol.Inbox.payload inbox k with
+      | Bit b ->
+          let r =
+            match st.referee with
+            | Some r -> r
+            | None ->
+                let r = { cand_ports = []; min_bit = 1 } in
+                st.referee <- Some r;
+                r
+          in
+          r.cand_ports <- Protocol.Inbox.port inbox k :: r.cand_ports;
+          if b < r.min_bit then r.min_bit <- b
+      | Min_bit b -> if b < st.best then st.best <- b
+    done;
     if st.is_candidate then begin
       if round = 0 then begin
         let k = Params.referee_count params ~n:ctx.n ~alpha:1. in
-        actions :=
-          List.init k (fun _ -> { Protocol.dest = Protocol.Fresh_port; payload = Bit st.input })
+        let bit = Bit st.input in
+        for _ = 1 to k do
+          send.fresh bit
+        done
       end
       else if round = 2 then st.decision <- Decision.Agreed st.best
     end;
     (match st.referee with
     | Some r when round = 1 ->
-        actions :=
-          List.rev_map
-            (fun p -> { Protocol.dest = Protocol.Port p; payload = Min_bit r.min_bit })
-            r.cand_ports
+        Fanout.to_ports_rev send r.cand_ports (Min_bit r.min_bit)
     | Some _ | None -> ());
-    (st, !actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
-    {
-      Observation.role =
-        (if st.is_candidate then Observation.Candidate
-         else if st.referee <> None then Observation.Referee
-         else Observation.Bystander);
-      rank = None;
-      has_decided = st.decision <> Decision.Undecided;
-    }
+    Observation.unranked
+      (if st.is_candidate then Observation.Candidate
+       else if st.referee <> None then Observation.Referee
+       else Observation.Bystander)
+      ~has_decided:(st.decision <> Decision.Undecided)
 end
 
 let make ?(params = Params.default) () =

@@ -26,25 +26,26 @@ end) : Protocol.S with type msg = msg = struct
 
   let init (ctx : Protocol.ctx) = { value = ctx.input; decision = Decision.Undecided }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
-    List.iter
-      (fun { Protocol.payload = Push v; _ } -> if v < st.value then st.value <- v)
-      inbox;
-    let actions =
-      if round < gossip_rounds ~n:ctx.n then
-        List.init C.fanout (fun _ ->
-            { Protocol.dest = Protocol.Fresh_port; payload = Push st.value })
-      else []
-    in
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      let (Push v) = Protocol.Inbox.payload inbox k in
+      if v < st.value then st.value <- v
+    done;
+    if round < gossip_rounds ~n:ctx.n then begin
+      let push = Push st.value in
+      for _ = 1 to C.fanout do
+        send.fresh push
+      done
+    end;
     if round = max_rounds ~n:ctx.n ~alpha:ctx.alpha - 1 then
       st.decision <- Decision.Agreed st.value;
-    (st, actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
-    { Observation.bystander with has_decided = st.decision <> Decision.Undecided }
+    Observation.unranked Observation.Bystander ~has_decided:(st.decision <> Decision.Undecided)
 end
 
 let make ?(fanout = 2) () =

@@ -2,6 +2,7 @@ module Protocol = Ftc_sim.Protocol
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
 module Congest = Ftc_sim.Congest
+module Fanout = Ftc_sim.Fanout
 module Params = Ftc_core.Params
 module Rng = Ftc_rng.Rng
 module Dist = Ftc_rng.Dist
@@ -53,31 +54,30 @@ end) : Protocol.S with type msg = msg = struct
       decision = (if is_candidate then Decision.Undecided else Decision.Not_elected);
     }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
-    let actions = ref [] in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        match payload with
-        | Bid { rank } ->
-            let r =
-              match st.referee with
-              | Some r -> r
-              | None ->
-                  let r = { cand_ports = []; min_rank = max_int } in
-                  st.referee <- Some r;
-                  r
-            in
-            r.cand_ports <- from_port :: r.cand_ports;
-            if rank < r.min_rank then r.min_rank <- rank
-        | Min { rank } -> if rank <> st.rank then st.win <- false)
-      inbox;
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      match Protocol.Inbox.payload inbox k with
+      | Bid { rank } ->
+          let r =
+            match st.referee with
+            | Some r -> r
+            | None ->
+                let r = { cand_ports = []; min_rank = max_int } in
+                st.referee <- Some r;
+                r
+          in
+          r.cand_ports <- Protocol.Inbox.port inbox k :: r.cand_ports;
+          if rank < r.min_rank then r.min_rank <- rank
+      | Min { rank } -> if rank <> st.rank then st.win <- false
+    done;
     if st.is_candidate then begin
       if round = 0 then begin
         let k = Params.referee_count params ~n:ctx.n ~alpha:1. in
         st.referee_ports <- List.init k Fun.id;
-        actions :=
-          List.init k (fun _ ->
-              { Protocol.dest = Protocol.Fresh_port; payload = Bid { rank = st.rank } })
+        let bid = Bid { rank = st.rank } in
+        for _ = 1 to k do
+          send.fresh bid
+        done
       end
       else if round = 2 then
         (* All replies are in: a candidate that saw only its own rank as
@@ -86,12 +86,9 @@ end) : Protocol.S with type msg = msg = struct
     end;
     (match st.referee with
     | Some r when round = 1 ->
-        actions :=
-          List.rev_map
-            (fun p -> { Protocol.dest = Protocol.Port p; payload = Min { rank = r.min_rank } })
-            r.cand_ports
+        Fanout.to_ports_rev send r.cand_ports (Min { rank = r.min_rank })
     | Some _ | None -> ());
-    (st, !actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision

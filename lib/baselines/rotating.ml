@@ -25,18 +25,20 @@ module P : Protocol.S with type msg = msg = struct
     let self = match ctx.self with Some s -> s | None -> invalid_arg "rotating: needs KT1" in
     { self; value = ctx.input; decision = Decision.Undecided }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
-    List.iter (fun { Protocol.payload = Adopt v; _ } -> st.value <- v) inbox;
-    let actions =
-      if round < rotations ~n:ctx.n ~alpha:ctx.alpha && round = st.self then
-        List.filter_map
-          (fun d -> if d = st.self then None else Some { Protocol.dest = Protocol.Node d; payload = Adopt st.value })
-          (List.init ctx.n Fun.id)
-      else []
-    in
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      let (Adopt v) = Protocol.Inbox.payload inbox k in
+      st.value <- v
+    done;
+    if round < rotations ~n:ctx.n ~alpha:ctx.alpha && round = st.self then begin
+      let adopt = Adopt st.value in
+      for d = 0 to ctx.n - 1 do
+        if d <> st.self then send.node d adopt
+      done
+    end;
     if round = max_rounds ~n:ctx.n ~alpha:ctx.alpha - 1 then
       st.decision <- Decision.Agreed st.value;
-    (st, actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision

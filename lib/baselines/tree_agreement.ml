@@ -41,42 +41,37 @@ module P : Protocol.S with type msg = msg = struct
     let self = match ctx.self with Some s -> s | None -> invalid_arg "tree: needs KT1" in
     { self; agg = ctx.input; final = None; decision = Decision.Undecided }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
     let n = ctx.n in
-    List.iter
-      (fun { Protocol.payload; _ } ->
-        match payload with
-        | Agg v -> if v < st.agg then st.agg <- v
-        | Final v -> (
-            match st.final with
-            | Some f when f <= v -> ()
-            | Some _ | None -> st.final <- Some v))
-      inbox;
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      match Protocol.Inbox.payload inbox k with
+      | Agg v -> if v < st.agg then st.agg <- v
+      | Final v -> (
+          match st.final with
+          | Some f when f <= v -> ()
+          | Some _ | None -> st.final <- Some v)
+    done;
     let d = depth st.self in
-    let actions = ref [] in
-    (* Up phase: send the partial minimum to parent and grandparent. *)
+    (* Up phase: send the partial minimum to grandparent and parent. The
+       two phases never share a round. *)
     if st.self > 0 && round = 2 * (max_depth ~n - d) then begin
       let parent = (st.self - 1) / 2 in
-      actions := [ { Protocol.dest = Protocol.Node parent; payload = Agg st.agg } ];
-      if parent > 0 then
-        actions :=
-          { Protocol.dest = Protocol.Node ((parent - 1) / 2); payload = Agg st.agg }
-          :: !actions
+      let agg = Agg st.agg in
+      if parent > 0 then send.node ((parent - 1) / 2) agg;
+      send.node parent agg
     end;
     (* Down phase: broadcast if no Final has been heard by my depth slot. *)
     if round = down_start ~n + (2 * d) && st.final = None then begin
       st.final <- Some st.agg;
-      actions :=
-        List.filter_map
-          (fun j ->
-            if j = st.self then None
-            else Some { Protocol.dest = Protocol.Node j; payload = Final st.agg })
-          (List.init n Fun.id)
+      let final = Final st.agg in
+      for j = 0 to n - 1 do
+        if j <> st.self then send.node j final
+      done
     end;
     if round = max_rounds ~n ~alpha:ctx.alpha - 1 then
       st.decision <-
         (match st.final with Some v -> Decision.Agreed v | None -> Decision.Agreed st.agg);
-    (st, !actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision

@@ -145,9 +145,8 @@ module Faulty_probe = struct
   let phases = Ftc_sim.Protocol.single_phase
   let init _ = ()
 
-  let step _ () ~round ~inbox:_ =
-    if round = 0 then ((), [ { Ftc_sim.Protocol.dest = Ftc_sim.Protocol.Node 0; payload = () } ])
-    else ((), [])
+  let step _ () ~round ~inbox:_ ~(send : msg Ftc_sim.Protocol.send) =
+    if round = 0 then send.node 0 ()
 
   let idle = Ftc_sim.Protocol.never_idle
   let decide () = Ftc_sim.Decision.Agreed 0
@@ -185,21 +184,21 @@ module Crash_probe = struct
     let input = ctx.input land 1 in
     { n = ctx.n; input; tally = None; min_seen = input }
 
-  let step _ st ~round ~inbox =
+  let step _ st ~round ~inbox ~(send : msg Ftc_sim.Protocol.send) =
     match round with
     | 0 ->
-        ( st,
-          List.init (st.n - 1) (fun _ ->
-              { Ftc_sim.Protocol.dest = Ftc_sim.Protocol.Fresh_port; payload = st.input }) )
+        for _ = 1 to st.n - 1 do
+          send.fresh st.input
+        done;
+        st
     | 1 ->
-        let tally = List.length inbox in
-        let min_seen =
-          List.fold_left
-            (fun acc (m : msg Ftc_sim.Protocol.incoming) -> min acc m.payload)
-            st.min_seen inbox
-        in
-        ({ st with tally = Some tally; min_seen }, [])
-    | _ -> (st, [])
+        let tally = Ftc_sim.Protocol.Inbox.length inbox in
+        let min_seen = ref st.min_seen in
+        for k = 0 to tally - 1 do
+          min_seen := min !min_seen (Ftc_sim.Protocol.Inbox.payload inbox k)
+        done;
+        { st with tally = Some tally; min_seen = !min_seen }
+    | _ -> st
 
   let idle = Ftc_sim.Protocol.never_idle
   let decide st =

@@ -2,22 +2,28 @@ module Protocol = Ftc_sim.Protocol
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
 module Congest = Ftc_sim.Congest
+module Fanout = Ftc_sim.Fanout
 module Dist = Ftc_rng.Dist
-module ISet = Set.Make (Int)
 
 type msg =
   | Up of int  (* candidate -> referee: a single-bit value *)
   | Down  (* referee -> candidate: "a candidate holds 0" *)
   | Announce_value of int  (* explicit mode: decided value to everyone *)
 
+(* Referee half: the reply ports of its registered candidates, newest
+   first, and a byte per port marking the registered ones (ports are
+   dense small integers). *)
 type referee = {
   mutable cand_ports : int list;
+  mutable registered : Bytes.t;
   mutable has_zero : bool;
   mutable forwarded : bool;
 }
 
+(* Candidate half: its referees sit behind ports 0 .. referee_count - 1,
+   the fresh ports it opens in round 0. *)
 type candidate = {
-  mutable referee_ports : int list;
+  mutable referee_count : int;
   mutable has_zero : bool;
   mutable forwarded : bool;
 }
@@ -28,7 +34,9 @@ type state = {
   mutable cand : candidate option;
   mutable referee : referee option;
   mutable decision : Decision.t;
-  mutable known_ports : ISet.t;
+  mutable ports : int;
+      (* ports this node has seen or opened: exactly 0 .. ports - 1, since
+         every delivery passes through [step] and ports open consecutively *)
   mutable announced : bool;
 }
 
@@ -69,7 +77,7 @@ end) : Protocol.S with type msg = msg = struct
     let is_candidate = Dist.bernoulli ctx.rng p in
     let input = if ctx.input <> 0 then 1 else 0 in
     let cand =
-      if is_candidate then Some { referee_ports = []; has_zero = input = 0; forwarded = false }
+      if is_candidate then Some { referee_count = 0; has_zero = input = 0; forwarded = false }
       else None
     in
     {
@@ -80,7 +88,7 @@ end) : Protocol.S with type msg = msg = struct
       (* Step 0: a candidate holding 0 decides 0 immediately; everyone
          else waits — non-candidates for ever (implicit agreement's ⊥). *)
       decision = (if is_candidate && input = 0 then Decision.Agreed 0 else Decision.Undecided);
-      known_ports = ISet.empty;
+      ports = 0;
       announced = false;
     }
 
@@ -88,35 +96,40 @@ end) : Protocol.S with type msg = msg = struct
     match st.referee with
     | Some r -> r
     | None ->
-        let r = { cand_ports = []; has_zero = false; forwarded = false } in
+        let r =
+          { cand_ports = []; registered = Bytes.make 4 '\000'; has_zero = false; forwarded = false }
+        in
         st.referee <- Some r;
         r
 
-  let send_to_ports ports payload =
-    List.rev_map (fun p -> { Protocol.dest = Protocol.Port p; payload }) ports
+  let register r port =
+    if port >= Bytes.length r.registered then begin
+      let b = Bytes.make (2 * (port + 1)) '\000' in
+      Bytes.blit r.registered 0 b 0 (Bytes.length r.registered);
+      r.registered <- b
+    end;
+    if Bytes.get r.registered port = '\000' then begin
+      Bytes.set r.registered port '\001';
+      r.cand_ports <- port :: r.cand_ports
+    end
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
     let n = ctx.n and alpha = ctx.alpha in
-    let implicit_end = implicit_rounds ~n ~alpha in
-    let actions = ref [] in
-    let emit acts = actions := List.rev_append acts !actions in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        st.known_ports <- ISet.add from_port st.known_ports;
-        match payload with
-        | Up v ->
-            let r = referee_of st in
-            if not (List.mem from_port r.cand_ports) then
-              r.cand_ports <- from_port :: r.cand_ports;
-            if v = 0 then r.has_zero <- true
-        | Down -> (
-            match st.cand with Some c -> c.has_zero <- true | None -> ())
-        | Announce_value v -> (
-            match st.decision with
-            | Decision.Agreed prev when prev <= v -> ()
-            | Decision.Agreed _ | Decision.Undecided -> st.decision <- Decision.Agreed v
-            | Decision.Elected | Decision.Not_elected | Decision.Follower _ -> ()))
-      inbox;
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      let from_port = Protocol.Inbox.port inbox k in
+      if from_port >= st.ports then st.ports <- from_port + 1;
+      match Protocol.Inbox.payload inbox k with
+      | Up v ->
+          let r = referee_of st in
+          register r from_port;
+          if v = 0 then r.has_zero <- true
+      | Down -> ( match st.cand with Some c -> c.has_zero <- true | None -> ())
+      | Announce_value v -> (
+          match st.decision with
+          | Decision.Agreed prev when prev <= v -> ()
+          | Decision.Agreed _ | Decision.Undecided -> st.decision <- Decision.Agreed v
+          | Decision.Elected | Decision.Not_elected | Decision.Follower _ -> ())
+    done;
     (* A node serving as both candidate and referee shares its memory:
        a 0 held by either half is held by both. *)
     (match (st.cand, st.referee) with
@@ -132,50 +145,50 @@ end) : Protocol.S with type msg = msg = struct
           (* Step 0: register with fresh random referees, carrying the
              input bit. This already forwards a 0 input. *)
           let k = Params.referee_count params ~n ~alpha in
-          cand.referee_ports <- List.init k Fun.id;
-          List.iter (fun p -> st.known_ports <- ISet.add p st.known_ports) cand.referee_ports;
+          cand.referee_count <- k;
+          if k > st.ports then st.ports <- k;
           cand.forwarded <- cand.has_zero;
-          emit
-            (List.init k (fun _ ->
-                 { Protocol.dest = Protocol.Fresh_port; payload = Up st.input }))
+          let up = Up st.input in
+          for _ = 1 to k do
+            send.fresh up
+          done
         end
         else begin
-          (* Step 1: on first hearing 0, decide 0 and forward it once. *)
+          (* Step 1: on first hearing 0, decide 0 and forward it once,
+             highest referee port first. *)
           if cand.has_zero && st.decision = Decision.Undecided then
             st.decision <- Decision.Agreed 0;
           if cand.has_zero && not cand.forwarded then begin
             cand.forwarded <- true;
-            emit (send_to_ports cand.referee_ports (Up 0))
+            for p = cand.referee_count - 1 downto 0 do
+              send.port p (Up 0)
+            done
           end;
           (* A candidate that never hears 0 decides 1 when the implicit
              calendar ends (validity: its own input was 1). *)
-          if round = implicit_end - 1 && st.decision = Decision.Undecided then
+          if st.decision = Decision.Undecided && round = implicit_rounds ~n ~alpha - 1 then
             st.decision <- Decision.Agreed 1
         end);
     (* Referee duties (Step 2): forward a held 0 to all my candidates,
-       once. Registrations all arrive in round 1, before or simultaneously
-       with any 0, so the forward reaches every candidate of mine. *)
+       once, in registration order. Registrations all arrive in round 1,
+       before or simultaneously with any 0, so the forward reaches every
+       candidate of mine. *)
     (match st.referee with
     | None -> ()
     | Some r ->
         if r.has_zero && not r.forwarded then begin
           r.forwarded <- true;
-          emit (send_to_ports r.cand_ports Down)
+          Fanout.to_ports_rev send r.cand_ports Down
         end);
     (* Explicit extension: decided candidates tell the whole network. *)
-    if C.explicit && round = implicit_end && not st.announced then begin
+    if C.explicit && (not st.announced) && round = implicit_rounds ~n ~alpha then begin
       st.announced <- true;
       match st.decision with
       | Decision.Agreed v when st.is_candidate ->
-          let known = ISet.elements st.known_ports in
-          let fresh = n - 1 - List.length known in
-          emit (send_to_ports known (Announce_value v));
-          emit
-            (List.init (max 0 fresh) (fun _ ->
-                 { Protocol.dest = Protocol.Fresh_port; payload = Announce_value v }))
+          Fanout.broadcast send ~n ~ports:st.ports (Announce_value v)
       | _ -> ()
     end;
-    (st, List.rev !actions)
+    st
 
   (* Only candidates act on their own (registration, the decide-1
      fallback, the explicit broadcast); everyone else reacts to
@@ -192,7 +205,7 @@ end) : Protocol.S with type msg = msg = struct
       else if st.referee <> None then Observation.Referee
       else Observation.Bystander
     in
-    { Observation.role; rank = None; has_decided = st.decision <> Decision.Undecided }
+    Observation.unranked role ~has_decided:(st.decision <> Decision.Undecided)
 end
 
 let calendar_rounds params ~n ~alpha =

@@ -2,6 +2,7 @@ module Protocol = Ftc_sim.Protocol
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
 module Congest = Ftc_sim.Congest
+module Fanout = Ftc_sim.Fanout
 module Dist = Ftc_rng.Dist
 
 let byzantine_input = 2
@@ -63,24 +64,18 @@ end) : Protocol.S with type msg = msg = struct
         st.referee <- Some r;
         r
 
-  let send_to_ports ports payload =
-    List.rev_map (fun p -> { Protocol.dest = Protocol.Port p; payload }) ports
-
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
     let n = ctx.n and alpha = ctx.alpha in
-    let actions = ref [] in
-    let emit acts = actions := List.rev_append acts !actions in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        match payload with
-        | Up v ->
-            let r = referee_of st in
-            if not (List.mem from_port r.cand_ports) then
-              r.cand_ports <- from_port :: r.cand_ports;
-            if v = 0 then r.has_zero <- true
-        | Down -> (
-            match st.cand with Some c -> c.has_zero <- true | None -> ()))
-      inbox;
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      match Protocol.Inbox.payload inbox k with
+      | Up v ->
+          let from_port = Protocol.Inbox.port inbox k in
+          let r = referee_of st in
+          if not (List.mem from_port r.cand_ports) then
+            r.cand_ports <- from_port :: r.cand_ports;
+          if v = 0 then r.has_zero <- true
+      | Down -> ( match st.cand with Some c -> c.has_zero <- true | None -> ())
+    done;
     (match (st.cand, st.referee) with
     | Some c, Some r ->
         if r.has_zero then c.has_zero <- true;
@@ -95,15 +90,17 @@ end) : Protocol.S with type msg = msg = struct
           (* THE ATTACK: a Byzantine node registers claiming input 0. *)
           let claimed = if st.input = byzantine_input then 0 else st.input in
           cand.forwarded <- claimed = 0;
-          emit
-            (List.init k (fun _ -> { Protocol.dest = Protocol.Fresh_port; payload = Up claimed }))
+          let up = Up claimed in
+          for _ = 1 to k do
+            send.fresh up
+          done
         end
         else begin
           if cand.has_zero && st.decision = Decision.Undecided then
             st.decision <- Decision.Agreed 0;
           if cand.has_zero && not cand.forwarded then begin
             cand.forwarded <- true;
-            emit (send_to_ports cand.referee_ports (Up 0))
+            Fanout.to_ports_rev send cand.referee_ports (Up 0)
           end;
           if round = max_rounds ~n ~alpha - 1 && st.decision = Decision.Undecided then
             st.decision <- Decision.Agreed 1
@@ -113,22 +110,19 @@ end) : Protocol.S with type msg = msg = struct
     | Some r ->
         if r.has_zero && not r.forwarded then begin
           r.forwarded <- true;
-          emit (send_to_ports r.cand_ports Down)
+          Fanout.to_ports_rev send r.cand_ports Down
         end);
-    (st, List.rev !actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
 
   let observe st =
-    {
-      Observation.role =
-        (if st.is_candidate then Observation.Candidate
-         else if st.referee <> None then Observation.Referee
-         else Observation.Bystander);
-      rank = None;
-      has_decided = st.decision <> Decision.Undecided;
-    }
+    Observation.unranked
+      (if st.is_candidate then Observation.Candidate
+       else if st.referee <> None then Observation.Referee
+       else Observation.Bystander)
+      ~has_decided:(st.decision <> Decision.Undecided)
 end
 
 let make params =

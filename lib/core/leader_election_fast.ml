@@ -7,7 +7,8 @@ module Dist = Ftc_rng.Dist
 module ISet = Set.Make (Int)
 
 (* Hand-written codec port of {!Leader_election}, bit-identical by the
-   differential suite and about 1.8x faster than the generic adapter.
+   differential suite and 1.3-1.4x faster than the generic adapter at
+   n = 10^5 (1.15-1.3x at n = 1000; DESIGN.md section 14).
    Codec (3 words per message):
 
      tag (w0 bits 0-2)   classic message      w1         w2
@@ -28,11 +29,11 @@ module ISet = Set.Make (Int)
    non-empty queue, relays need inbox traffic), and candidates are
    kept active every round through implicit_end - 1, past which their
    remaining transitions (quiet_rounds bookkeeping after a decision is
-   fixed) are unobservable. The classic [known_ports] set always equals
-   {0 .. port_count - 1} — receiver-side ports are recorded at every
+   fixed) are unobservable. The classic port count always equals the
+   engine's [port_count] — receiver-side ports are counted at every
    delivery, sender-side ports only open through round-0 fresh sends
    and the one-shot broadcast — so the explicit broadcast reads the
-   engine's port count instead of keeping a set per node. *)
+   engine's count instead of keeping one per node. *)
 
 type cand = {
   id : int;
@@ -113,17 +114,15 @@ end) : Fast_protocol.S = struct
         else Decision.Not_elected
     | _ -> Decision.Follower t.leader_seen.(i)
 
+  (* Only candidates publish their rank, as in {!Leader_election}. *)
   let compute_obs t i =
-    let role =
-      if t.cand.(i) <> None then Observation.Candidate
-      else if t.referee.(i) <> None then Observation.Referee
-      else Observation.Bystander
-    in
-    {
-      Observation.role;
-      rank = Some t.rank.(i);
-      has_decided = decide t i <> Decision.Undecided;
-    }
+    let has_decided = decide t i <> Decision.Undecided in
+    if t.cand.(i) <> None then
+      { Observation.role = Observation.Candidate; rank = Some t.rank.(i); has_decided }
+    else
+      Observation.unranked
+        (if t.referee.(i) <> None then Observation.Referee else Observation.Bystander)
+        ~has_decided
 
   (* Run a mutation and report an Undecided -> decided crossing of the
      masked decision to the engine's quiescence counter. *)

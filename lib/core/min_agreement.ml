@@ -2,6 +2,7 @@ module Protocol = Ftc_sim.Protocol
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
 module Congest = Ftc_sim.Congest
+module Fanout = Ftc_sim.Fanout
 module Dist = Ftc_rng.Dist
 
 type msg =
@@ -60,31 +61,26 @@ end) : Protocol.S with type msg = msg = struct
         st.referee <- Some r;
         r
 
-  let forward_improvement half payload_of =
+  let forward_improvement send half payload_of =
     if half.best < half.sent then begin
       half.sent <- half.best;
-      List.rev_map
-        (fun p -> { Protocol.dest = Protocol.Port p; payload = payload_of half.best })
-        half.ports
+      Fanout.to_ports_rev send half.ports (payload_of half.best)
     end
-    else []
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
     let n = ctx.n and alpha = ctx.alpha in
-    let actions = ref [] in
-    let emit acts = actions := List.rev_append acts !actions in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        match payload with
-        | Up v ->
-            let r = referee_of st in
-            if not (List.mem from_port r.ports) then r.ports <- from_port :: r.ports;
-            if v < r.best then r.best <- v
-        | Down v -> (
-            match st.cand with
-            | Some c -> if v < c.best then c.best <- v
-            | None -> ()))
-      inbox;
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      match Protocol.Inbox.payload inbox k with
+      | Up v ->
+          let from_port = Protocol.Inbox.port inbox k in
+          let r = referee_of st in
+          if not (List.mem from_port r.ports) then r.ports <- from_port :: r.ports;
+          if v < r.best then r.best <- v
+      | Down v -> (
+          match st.cand with
+          | Some c -> if v < c.best then c.best <- v
+          | None -> ())
+    done;
     (* Shared memory between the two halves of a dual-role node. *)
     (match (st.cand, st.referee) with
     | Some c, Some r ->
@@ -99,17 +95,18 @@ end) : Protocol.S with type msg = msg = struct
           let k = Params.referee_count params ~n ~alpha in
           cand.ports <- List.init k Fun.id;
           cand.sent <- cand.best;
-          emit
-            (List.init k (fun _ ->
-                 { Protocol.dest = Protocol.Fresh_port; payload = Up st.input }))
+          let up = Up st.input in
+          for _ = 1 to k do
+            send.fresh up
+          done
         end
-        else emit (forward_improvement cand (fun v -> Up v));
+        else forward_improvement send cand (fun v -> Up v);
         if round = implicit_rounds ~n ~alpha - 1 then
           st.decision <- Decision.Agreed cand.best);
     (match st.referee with
     | None -> ()
-    | Some r -> emit (forward_improvement r (fun v -> Down v)));
-    (st, List.rev !actions)
+    | Some r -> forward_improvement send r (fun v -> Down v));
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision

@@ -8,9 +8,10 @@
    (computed at emit time, so [msg_bits] just reads it back) and the
    payload's slot in the sender round's table. Two tables alternate:
    round [r] reads the table round [r - 1] filled while it fills the
-   other. The inbox handed to [P.step] is rebuilt in arrival order with
-   the receiver-side port and the ECN mark, so wrappers that react to
-   congestion (the transport) run unchanged.
+   other. One inbox view, built at [create], reads the engine's inbox
+   arrays in place (receiver-side port, payload slot, ECN mark), and one
+   send record forwards each send to the engine as the step makes it,
+   so a step costs no allocation beyond what the protocol itself does.
 
    A node is woken for the next round unless the protocol promises
    that stepping it on an empty inbox would change nothing
@@ -28,19 +29,36 @@ module Make (P : Protocol.S) : Fast_protocol.S = struct
   let max_rounds = P.max_rounds
   let phases = P.phases
 
+  (* Payload tables: [recv] holds what the previous round sent. *)
+  type tables = {
+    mutable round : int;  (* the round [sent] is being filled for *)
+    mutable sent : P.msg array;
+    mutable sent_len : int;
+    mutable recv : P.msg array;
+  }
+
   type t = {
-    n : int;
     ctxs : Protocol.ctx array;
     states : P.state array;
     undecided : Bytes.t;  (* '\001' where [P.decide] is [Undecided] *)
     rt : Fast_protocol.runtime;
-    mutable round : int;  (* the round [sent] is being filled for *)
-    mutable sent : P.msg array;
-    mutable sent_len : int;
-    mutable recv : P.msg array;  (* payloads sent last round *)
+    tables : tables;
+    inbox : P.msg Protocol.inbox;
+    send : P.msg Protocol.send;
   }
 
-  let is_undecided st = P.decide st = Decision.Undecided
+  let is_undecided st = match P.decide st with Decision.Undecided -> true | _ -> false
+
+  (* Grow by appending the table to itself: [Array.make] with a
+     freshly allocated payload as the fill value would force a minor
+     collection for every table past 256 words. *)
+  let store tb payload =
+    let i = tb.sent_len in
+    if i = Array.length tb.sent then
+      tb.sent <- (if i = 0 then [| payload |] else Array.append tb.sent tb.sent);
+    tb.sent.(i) <- payload;
+    tb.sent_len <- i + 1;
+    i
 
   let create ~n ~alpha ~inputs ~node_rngs rt =
     let ctxs =
@@ -61,52 +79,43 @@ module Make (P : Protocol.S) : Fast_protocol.S = struct
         if is_undecided st then Bytes.set undecided i '\001';
         if not (P.idle ctxs.(i) st ~round:0) then rt.Fast_protocol.wake i)
       states;
-    { n; ctxs; states; undecided; rt; round = 0; sent = [||]; sent_len = 0; recv = [||] }
-
-  (* Grow by appending the table to itself: [Array.make] with a
-     freshly allocated payload as the fill value would force a minor
-     collection for every table past 256 words. *)
-  let store t payload =
-    let i = t.sent_len in
-    if i = Array.length t.sent then
-      t.sent <- (if i = 0 then [| payload |] else Array.append t.sent t.sent);
-    t.sent.(i) <- payload;
-    t.sent_len <- i + 1;
-    i
+    let tables = { round = 0; sent = [||]; sent_len = 0; recv = [||] } in
+    let inbox =
+      Protocol.Inbox.window
+        ~port:(fun m -> rt.Fast_protocol.inbox_port.(m))
+        ~payload:(fun m -> tables.recv.(rt.Fast_protocol.inbox_words.{(2 * m) + 1}))
+        ~ecn:(fun m -> Bytes.get rt.Fast_protocol.inbox_ecn m <> '\000')
+    in
+    let send =
+      {
+        Protocol.fresh =
+          (fun m ->
+            let bits = P.msg_bits ~n m in
+            rt.Fast_protocol.emit_fresh bits (store tables m) 0);
+        port =
+          (fun p m ->
+            let bits = P.msg_bits ~n m in
+            rt.Fast_protocol.emit_port p bits (store tables m) 0);
+        node =
+          (fun d m ->
+            let bits = P.msg_bits ~n m in
+            rt.Fast_protocol.emit_node d bits (store tables m) 0);
+      }
+    in
+    { ctxs; states; undecided; rt; tables; inbox; send }
 
   let step t ~node:i ~round ~inbox_start ~inbox_count =
-    let rt = t.rt in
-    if round <> t.round then begin
-      let recv = t.recv in
-      t.recv <- t.sent;
-      t.sent <- recv;
-      t.sent_len <- 0;
-      t.round <- round
+    let rt = t.rt and tb = t.tables in
+    if round <> tb.round then begin
+      let recv = tb.recv in
+      tb.recv <- tb.sent;
+      tb.sent <- recv;
+      tb.sent_len <- 0;
+      tb.round <- round
     end;
-    let iw = rt.Fast_protocol.inbox_words
-    and ip = rt.Fast_protocol.inbox_port
-    and ie = rt.Fast_protocol.inbox_ecn in
-    let inbox = ref [] in
-    for m = inbox_start + inbox_count - 1 downto inbox_start do
-      inbox :=
-        {
-          Protocol.from_port = ip.(m);
-          payload = t.recv.(iw.{(2 * m) + 1});
-          ecn = Bytes.get ie m <> '\000';
-        }
-        :: !inbox
-    done;
-    let st, actions = P.step t.ctxs.(i) t.states.(i) ~round ~inbox:!inbox in
+    Protocol.Inbox.set_window t.inbox ~first:inbox_start ~length:inbox_count;
+    let st = P.step t.ctxs.(i) t.states.(i) ~round ~inbox:t.inbox ~send:t.send in
     t.states.(i) <- st;
-    List.iter
-      (fun { Protocol.dest; payload } ->
-        let bits = P.msg_bits ~n:t.n payload in
-        let slot = store t payload in
-        match dest with
-        | Protocol.Fresh_port -> rt.Fast_protocol.emit_fresh bits slot 0
-        | Protocol.Port p -> rt.Fast_protocol.emit_port p bits slot 0
-        | Protocol.Node d -> rt.Fast_protocol.emit_node d bits slot 0)
-      actions;
     rt.Fast_protocol.obs.(i) <- P.observe st;
     let undecided = is_undecided st in
     if undecided <> (Bytes.get t.undecided i <> '\000') then begin

@@ -716,11 +716,21 @@ module Make_codec (P : Fast_protocol.S) = struct
     let round_ns =
       if !round_count = 0 then [||]
       else begin
+        (* Rounds of equal duration share one box. Durations repeat
+           (quiet rounds, and the runner's clock counts microseconds),
+           and sweeps keep every result: at n = 256 an election's 150
+           rounds hold about 65 distinct values. *)
         let a = Array.make !round_count 0L in
+        let boxes = Hashtbl.create 64 in
         let i = ref (!round_count - 1) in
         List.iter
           (fun d ->
-            a.(!i) <- d;
+            a.(!i) <-
+              (match Hashtbl.find_opt boxes d with
+              | Some b -> b
+              | None ->
+                  Hashtbl.add boxes d d;
+                  d);
             decr i)
           !round_ns_rev;
         a

@@ -1,5 +1,14 @@
-let broadcast ~n ~known_ports payload =
-  let known = List.rev_map (fun p -> { Protocol.dest = Protocol.Port p; payload }) known_ports in
-  let fresh = n - 1 - List.length known_ports in
-  List.rev_append known
-    (List.init (max 0 fresh) (fun _ -> { Protocol.dest = Protocol.Fresh_port; payload }))
+let broadcast (send : _ Protocol.send) ~n ~ports payload =
+  for p = ports - 1 downto 0 do
+    send.port p payload
+  done;
+  for _ = 1 to n - 1 - ports do
+    send.fresh payload
+  done
+
+let rec to_ports_rev (send : _ Protocol.send) ports payload =
+  match ports with
+  | [] -> ()
+  | p :: earlier ->
+      to_ports_rev send earlier payload;
+      send.port p payload

@@ -2,7 +2,21 @@ type role = Candidate | Referee | Bystander | Coordinator
 
 type t = { role : role; rank : int option; has_decided : bool }
 
-let bystander = { role = Bystander; rank = None; has_decided = false }
+let unranked =
+  let pair role = ({ role; rank = None; has_decided = false }, { role; rank = None; has_decided = true }) in
+  let candidate = pair Candidate and referee = pair Referee and bystander = pair Bystander in
+  let coordinator = pair Coordinator in
+  fun role ~has_decided ->
+    let undecided, decided =
+      match role with
+      | Candidate -> candidate
+      | Referee -> referee
+      | Bystander -> bystander
+      | Coordinator -> coordinator
+    in
+    if has_decided then decided else undecided
+
+let bystander = unranked Bystander ~has_decided:false
 
 let role_to_string = function
   | Candidate -> "candidate"

@@ -16,11 +16,17 @@ type role =
 
 type t = {
   role : role;
-  rank : int option;  (** The node's random rank, if the protocol uses ranks. *)
+  rank : int option;
+      (** The node's random rank, if the protocol's decisions depend on it
+          (the election publishes its candidates' ranks only). *)
   has_decided : bool;
 }
 
 val bystander : t
 (** Default observation: an undecided bystander with no rank. *)
+
+val unranked : role -> has_decided:bool -> t
+(** The observation with no rank for a role and decidedness: one shared
+    record each, so publishing it allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit

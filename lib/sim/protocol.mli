@@ -1,20 +1,27 @@
 (** The interface a distributed algorithm presents to the round engine.
 
     A protocol is a state machine replicated at every node. Each round the
-    engine hands every live node its inbox (messages sent to it in the
-    previous round) and collects its outgoing messages. Addressing reflects
-    the paper's KT0 anonymity:
+    engine hands every live node a view of its inbox (messages sent to it
+    in the previous round) and a send record through which the node
+    emits its outgoing messages. Addressing reflects the paper's KT0
+    anonymity:
 
-    - [Fresh_port] — "open a uniformly random port I have never used".
-      Because the hidden port wiring is a uniformly random permutation, the
-      peer behind a fresh port is a uniformly random node among those not
-      already behind one of this node's used ports. This is exactly the
-      primitive the paper's sampling steps need.
-    - [Port p] — re-send through a known port: one previously opened with
-      [Fresh_port], or the reply port attached to a received message.
-    - [Node id] — KT1 addressing by identifier, allowed only for protocols
-      that declare [`KT1] knowledge (used by baselines such as
+    - [fresh] ({!Fresh_port}) — "open a uniformly random port I have never
+      used". Because the hidden port wiring is a uniformly random
+      permutation, the peer behind a fresh port is a uniformly random node
+      among those not already behind one of this node's used ports. This
+      is exactly the primitive the paper's sampling steps need.
+    - [port p] ({!Port}) — re-send through a known port: one previously
+      opened with [fresh], or the reply port attached to a received
+      message.
+    - [node id] ({!Node}) — KT1 addressing by identifier, allowed only for
+      protocols that declare [`KT1] knowledge (used by baselines such as
       Gilbert–Kowalski which assume known neighbours).
+
+    Ports open consecutively from 0: every fresh send and every delivery
+    from a peer not yet behind a port takes the next number. A protocol
+    that sees every delivery therefore knows exactly the ports
+    [0 .. count - 1] without keeping a set of them.
 
     Deciding ([decide]) does not halt a node: in the implicit problems a
     node may fix its output early and keep relaying. A node stops acting
@@ -25,7 +32,17 @@ type dest =
   | Port of int  (** Send through an already-known port. *)
   | Node of int  (** KT1 only: send to the node with this identifier. *)
 
-type 'msg action = { dest : dest; payload : 'msg }
+type 'msg send = {
+  fresh : 'msg -> unit;  (** Send through a freshly opened port. *)
+  port : int -> 'msg -> unit;  (** [port p m]: send [m] through known port [p]. *)
+  node : int -> 'msg -> unit;  (** [node d m]: KT1 only, send [m] to node [d]. *)
+}
+(** The three send primitives of one step. Sends take effect in call
+    order, which is the order the engine puts them on the wire; the
+    record is valid only inside the step it is passed to. *)
+
+val send_to : 'msg send -> dest -> 'msg -> unit
+(** [send_to send dest m] sends [m] through the primitive [dest] names. *)
 
 type 'msg incoming = {
   from_port : int;
@@ -39,6 +56,34 @@ type 'msg incoming = {
           ({!Queue_model}); always [false] otherwise. Congestion-aware
           layers (the transport) back off on seeing it. *)
 }
+(** One delivered message, for building an {!inbox} from a list. *)
+
+type 'msg inbox
+(** A read-only view of one step's inbox: its messages in arrival order,
+    indexed from 0. Like the send record it is valid only inside the
+    step it is passed to; the adapter re-aims one view at every node. *)
+
+module Inbox : sig
+  val length : 'msg inbox -> int
+
+  val port : 'msg inbox -> int -> int
+  (** [port ib k] is message [k]'s {!incoming.from_port}. *)
+
+  val payload : 'msg inbox -> int -> 'msg
+  val ecn : 'msg inbox -> int -> bool
+  (** Message [k]'s {!incoming.ecn} mark. The accessors raise
+      [Invalid_argument] for [k] outside [0 .. length - 1]. *)
+
+  val of_list : 'msg incoming list -> 'msg inbox
+  (** A view of a list of messages, first element first. *)
+
+  val window : port:(int -> int) -> payload:(int -> 'msg) -> ecn:(int -> bool) -> 'msg inbox
+  (** A view over indexed storage: message [k] is entry [first + k] of
+      the three accessors, for the window {!set_window} last set (empty
+      until then). Engines build one per run and move its window. *)
+
+  val set_window : 'msg inbox -> first:int -> length:int -> unit
+end
 
 type ctx = {
   n : int;  (** Network size; known to all nodes (port count). *)
@@ -74,15 +119,18 @@ module type S = sig
 
   val init : ctx -> state
 
-  val step :
-    ctx -> state -> round:int -> inbox:msg incoming list -> state * msg action list
-  (** One synchronous round. [inbox] holds messages sent to this node in
-      round [round - 1]; returned actions are sent in round [round]. *)
+  val step : ctx -> state -> round:int -> inbox:msg inbox -> send:msg send -> state
+  (** One synchronous round. [inbox] holds the messages sent to this
+      node in round [round - 1]; what the step passes to [send] is sent
+      in round [round]. The engine's adapter aims one inbox view at its
+      own delivery arrays and stores each payload once, when it is
+      sent, so a step that keeps its state in place allocates only the
+      payloads it sends. *)
 
   val idle : ctx -> state -> round:int -> bool
   (** [idle ctx st ~round = true] promises that from [round] on, until
       a message arrives, stepping the node on an empty inbox has no
-      effect anyone can observe: no actions, no change to [decide] or
+      effect anyone can observe: no sends, no change to [decide] or
       [observe], no draws on the node's coin, and nothing a later step
       could tell apart. The engine then leaves the node unstepped until
       its next delivery, so at large n only the nodes with work cost

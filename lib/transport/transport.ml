@@ -150,36 +150,33 @@ module Make
      transmissions into the default 24-round window. *)
   let max_congestion = 3
 
-  let step ctx st ~round ~inbox =
-    let out = ref [] in
-    let emit dest payload = out := { Protocol.dest; payload } :: !out in
+  let step ctx st ~round ~inbox ~(send : msg Protocol.send) =
     (* 1. Ingest: acks settle pending sends; data is acked, deduplicated,
        and buffered for the next inner round. Receiver-side port openings
        show up here as fresh [from_port] values, keeping the port mirror
        in sync with the engine. *)
     let marked = ref false in
-    List.iter
-      (fun { Protocol.from_port; payload; ecn } ->
-        if from_port >= st.next_port then st.next_port <- from_port + 1;
-        if ecn then marked := true;
-        match payload with
-        | Ack seq ->
-            let confirmed, rest = List.partition (fun p -> p.seq = seq) st.pending in
-            if confirmed <> [] then begin
-              stats.acked <- stats.acked + 1;
-              st.pending <- rest
-            end
-        | Data { seq; payload } ->
-            emit (Protocol.Port from_port) (Ack seq);
-            stats.acks_sent <- stats.acks_sent + 1;
-            if Hashtbl.mem st.seen (from_port, seq) then
-              stats.duplicates <- stats.duplicates + 1
-            else begin
-              Hashtbl.replace st.seen (from_port, seq) ();
-              stats.delivered_unique <- stats.delivered_unique + 1;
-              st.buffer <- { Protocol.from_port; payload; ecn } :: st.buffer
-            end)
-      inbox;
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      let from_port = Protocol.Inbox.port inbox k and ecn = Protocol.Inbox.ecn inbox k in
+      if from_port >= st.next_port then st.next_port <- from_port + 1;
+      if ecn then marked := true;
+      match Protocol.Inbox.payload inbox k with
+      | Ack seq ->
+          let confirmed, rest = List.partition (fun p -> p.seq = seq) st.pending in
+          if confirmed <> [] then begin
+            stats.acked <- stats.acked + 1;
+            st.pending <- rest
+          end
+      | Data { seq; payload } ->
+          send.port from_port (Ack seq);
+          stats.acks_sent <- stats.acks_sent + 1;
+          if Hashtbl.mem st.seen (from_port, seq) then stats.duplicates <- stats.duplicates + 1
+          else begin
+            Hashtbl.replace st.seen (from_port, seq) ();
+            stats.delivered_unique <- stats.delivered_unique + 1;
+            st.buffer <- { Protocol.from_port; payload; ecn } :: st.buffer
+          end
+    done;
     (* ECN reaction: any congestion mark this step escalates the node's
        backoff exponent one level (at most one level per step), widening
        every timeout below — the multiplicative backoff beyond the
@@ -202,51 +199,56 @@ module Make
          level (AIMD-style recovery); one with a signal just re-arms. *)
       if st.signal_seen then st.signal_seen <- false
       else if st.congestion > 0 then st.congestion <- st.congestion - 1;
-      let inner_inbox = List.rev st.buffer in
+      let inner_inbox = Protocol.Inbox.of_list (List.rev st.buffer) in
       st.buffer <- [];
-      let inner', actions = P.step ctx st.inner ~round:(round / w) ~inbox:inner_inbox in
-      st.inner <- inner';
-      List.iter
-        (fun { Protocol.dest; payload } ->
-          let retx_dest =
-            match dest with
-            | Protocol.Port _ | Protocol.Node _ -> Some dest
-            | Protocol.Fresh_port ->
-                if st.next_port >= ctx.Protocol.n - 1 then None
-                else begin
-                  let port = st.next_port in
-                  st.next_port <- port + 1;
-                  Some (Protocol.Port port)
-                end
-          in
-          match retx_dest with
-          | None ->
-              (* The engine will count this send as unroutable; there is
-                 no port to retransmit through, so nothing to track. *)
-              stats.unroutable <- stats.unroutable + 1;
-              emit dest (Data { seq = st.next_seq; payload });
-              st.next_seq <- st.next_seq + 1
-          | Some retx_dest ->
-              let seq = st.next_seq in
-              st.next_seq <- seq + 1;
-              stats.data_sent <- stats.data_sent + 1;
-              let eff = cfg.timeout lsl st.congestion in
-              record_timeout eff;
-              emit dest (Data { seq; payload });
-              st.pending <-
-                {
-                  seq;
-                  retx_dest;
-                  payload;
-                  window_end = round + w;
-                  next_at = min (round + eff) (round + w);
-                  timeout = cfg.timeout;
-                  sent = 1;
-                  ack_deadline = round + 2;
-                  congested = false;
-                }
-                :: st.pending)
-        actions
+      let data dest payload =
+        let retx_dest =
+          match dest with
+          | Protocol.Port _ | Protocol.Node _ -> Some dest
+          | Protocol.Fresh_port ->
+              if st.next_port >= ctx.Protocol.n - 1 then None
+              else begin
+                let port = st.next_port in
+                st.next_port <- port + 1;
+                Some (Protocol.Port port)
+              end
+        in
+        match retx_dest with
+        | None ->
+            (* The engine will count this send as unroutable; there is
+               no port to retransmit through, so nothing to track. *)
+            stats.unroutable <- stats.unroutable + 1;
+            Protocol.send_to send dest (Data { seq = st.next_seq; payload });
+            st.next_seq <- st.next_seq + 1
+        | Some retx_dest ->
+            let seq = st.next_seq in
+            st.next_seq <- seq + 1;
+            stats.data_sent <- stats.data_sent + 1;
+            let eff = cfg.timeout lsl st.congestion in
+            record_timeout eff;
+            Protocol.send_to send dest (Data { seq; payload });
+            st.pending <-
+              {
+                seq;
+                retx_dest;
+                payload;
+                window_end = round + w;
+                next_at = min (round + eff) (round + w);
+                timeout = cfg.timeout;
+                sent = 1;
+                ack_deadline = round + 2;
+                congested = false;
+              }
+              :: st.pending
+      in
+      let inner_send =
+        {
+          Protocol.fresh = (fun m -> data Protocol.Fresh_port m);
+          port = (fun p m -> data (Protocol.Port p) m);
+          node = (fun d m -> data (Protocol.Node d) m);
+        }
+      in
+      st.inner <- P.step ctx st.inner ~round:(round / w) ~inbox:inner_inbox ~send:inner_send
     end;
     (* 3. Retransmission calendar: resend every overdue unacked message
        while budget and window allow; drop it for good once neither its
@@ -256,7 +258,7 @@ module Make
         (fun p ->
           if round < p.next_at then true
           else if p.sent <= cfg.budget && round < p.window_end then begin
-            emit p.retx_dest (Data { seq = p.seq; payload = p.payload });
+            Protocol.send_to send p.retx_dest (Data { seq = p.seq; payload = p.payload });
             stats.retransmissions <- stats.retransmissions + 1;
             p.sent <- p.sent + 1;
             p.ack_deadline <- round + 2;
@@ -287,7 +289,7 @@ module Make
         st.pending
     in
     st.pending <- still_pending;
-    (st, List.rev !out)
+    st
 
   let idle = Protocol.never_idle
   let decide st = P.decide st.inner

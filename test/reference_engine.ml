@@ -1,10 +1,10 @@
 (* Reference interpreter for the round model: the closure engine the
    struct-of-arrays engine replaced, kept as the differential suite's
-   specification. It steps every live node every round on a list
-   inbox, resolves each action as it comes back, and runs the round
-   stages literally, one send record at a time:
+   specification. It steps every live node every round on a view of a
+   list inbox, resolves each send as the step makes it, and runs the
+   round stages literally, one send record at a time:
 
-   1. step every live node, resolving its actions in order;
+   1. step every live node, resolving its sends in order;
    2. CONGEST accounting per (edge, round);
    3. the adversary picks crashes from observations of every node, and
       its drop rule marks the crashed node's sends of the round;
@@ -130,12 +130,12 @@ module Make (P : Protocol.S) = struct
             inboxes.(i) <- [];
             if crashed.(i) then []
             else begin
-              let st, actions = P.step ctxs.(i) states.(i) ~round:r ~inbox in
-              states.(i) <- st;
-              List.filter_map
-                (fun { Protocol.dest; payload } ->
-                  Option.map
-                    (fun dst ->
+              let out = ref [] in
+              let emit dest payload =
+                match resolve ~round:r i dest with
+                | None -> ()
+                | Some dst ->
+                    out :=
                       {
                         src = i;
                         dst;
@@ -145,9 +145,19 @@ module Make (P : Protocol.S) = struct
                         queue_dropped = false;
                         link_dropped = false;
                         ecn = false;
-                      })
-                    (resolve ~round:r i dest))
-                actions
+                      }
+                      :: !out
+              in
+              let send =
+                {
+                  Protocol.fresh = emit Protocol.Fresh_port;
+                  port = (fun p -> emit (Protocol.Port p));
+                  node = (fun d -> emit (Protocol.Node d));
+                }
+              in
+              states.(i) <-
+                P.step ctxs.(i) states.(i) ~round:r ~inbox:(Protocol.Inbox.of_list inbox) ~send;
+              List.rev !out
             end)
       in
       let sends = List.concat (Array.to_list by_node) in

@@ -43,23 +43,26 @@ module Ping_pong = struct
       decision = Decision.Undecided;
     }
 
-  let step (_ctx : Protocol.ctx) st ~round ~inbox =
-    let actions = ref [] in
-    List.iter
-      (fun { Protocol.from_port; payload; _ } ->
-        match payload with
-        | Ping ->
-            st.pings_seen <- st.pings_seen + 1;
-            actions := { Protocol.dest = Protocol.Port from_port; payload = Pong } :: !actions
-        | Pong ->
-            st.pongs_seen <- st.pongs_seen + 1;
-            if from_port < 0 || from_port >= st.fan then st.pong_ports_ok <- false)
-      inbox;
+  let step (_ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    (* Replies go out newest ping first. *)
+    let replies = ref [] in
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      let from_port = Protocol.Inbox.port inbox k in
+      match Protocol.Inbox.payload inbox k with
+      | Ping ->
+          st.pings_seen <- st.pings_seen + 1;
+          replies := from_port :: !replies
+      | Pong ->
+          st.pongs_seen <- st.pongs_seen + 1;
+          if from_port < 0 || from_port >= st.fan then st.pong_ports_ok <- false
+    done;
     if st.pinger && round = 0 then
-      actions :=
-        List.init st.fan (fun _ -> { Protocol.dest = Protocol.Fresh_port; payload = Ping });
+      for _ = 1 to st.fan do
+        send.fresh Ping
+      done
+    else List.iter (fun p -> send.port p Pong) !replies;
     if round = 3 then st.decision <- Decision.Agreed (st.pongs_seen + (1000 * st.pings_seen));
-    (st, !actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
@@ -126,16 +129,14 @@ module Beacon = struct
   let init (ctx : Protocol.ctx) =
     { active = ctx.input > 0; got = 0; decision = Decision.Undecided }
 
-  let step (_ : Protocol.ctx) st ~round ~inbox =
-    st.got <- st.got + List.length inbox;
-    let actions =
-      if st.active then
-        List.init (if round = 0 then 4 else 1) (fun _ ->
-            { Protocol.dest = Protocol.Fresh_port; payload = Blip })
-      else []
-    in
+  let step (_ : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    st.got <- st.got + Protocol.Inbox.length inbox;
+    if st.active then
+      for _ = 1 to if round = 0 then 4 else 1 do
+        send.fresh Blip
+      done;
     if round = 5 then st.decision <- Decision.Agreed st.got;
-    (st, actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
@@ -366,8 +367,8 @@ module Illegal_kt0 = struct
   let phases = Protocol.single_phase
   let init _ = ()
 
-  let step (_ : Protocol.ctx) () ~round ~inbox:_ =
-    ((), if round = 0 then [ { Protocol.dest = Protocol.Node 0; payload = M } ] else [])
+  let step (_ : Protocol.ctx) () ~round ~inbox:_ ~(send : msg Protocol.send) =
+    if round = 0 then send.node 0 M
 
   let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
@@ -395,8 +396,8 @@ module Bad_port = struct
   let phases = Protocol.single_phase
   let init _ = ()
 
-  let step (_ : Protocol.ctx) () ~round ~inbox:_ =
-    ((), if round = 0 then [ { Protocol.dest = Protocol.Port 99; payload = M } ] else [])
+  let step (_ : Protocol.ctx) () ~round ~inbox:_ ~(send : msg Protocol.send) =
+    if round = 0 then send.port 99 M
 
   let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
@@ -424,8 +425,8 @@ module Fat_messages = struct
   let phases = Protocol.single_phase
   let init _ = ()
 
-  let step (_ : Protocol.ctx) () ~round ~inbox:_ =
-    ((), if round = 0 then [ { Protocol.dest = Protocol.Fresh_port; payload = M } ] else [])
+  let step (_ : Protocol.ctx) () ~round ~inbox:_ ~(send : msg Protocol.send) =
+    if round = 0 then send.fresh M
 
   let idle = Protocol.never_idle
   let decide () = Decision.Agreed 0
@@ -451,7 +452,7 @@ module Instant = struct
   let max_rounds ~n:_ ~alpha:_ = 1000
   let phases = Protocol.single_phase
   let init _ = ()
-  let step (_ : Protocol.ctx) () ~round:_ ~inbox:_ = ((), [])
+  let step (_ : Protocol.ctx) () ~round:_ ~inbox:_ ~send:_ = ()
   let idle = Protocol.never_idle
   let decide () = Decision.Agreed 7
   let observe () = { Observation.bystander with has_decided = true }
@@ -476,7 +477,7 @@ module Know_thyself = struct
   let init (ctx : Protocol.ctx) =
     match ctx.self with Some s -> s | None -> Alcotest.fail "KT1 ctx lacks self"
 
-  let step (_ : Protocol.ctx) s ~round:_ ~inbox:_ = (s, [])
+  let step (_ : Protocol.ctx) s ~round:_ ~inbox:_ ~send:_ = s
   let idle = Protocol.never_idle
   let decide s = Decision.Agreed s
   let observe _ = { Observation.bystander with has_decided = true }
@@ -510,25 +511,19 @@ module Double_ping = struct
   let init (ctx : Protocol.ctx) =
     { pinger = ctx.input > 0; ports_seen = []; decision = Decision.Undecided }
 
-  let step (_ : Protocol.ctx) st ~round ~inbox =
-    List.iter
-      (fun { Protocol.from_port; payload = Dping; _ } ->
-        st.ports_seen <- from_port :: st.ports_seen)
-      inbox;
-    let actions =
-      if st.pinger && round = 0 then
-        [ { Protocol.dest = Protocol.Fresh_port; payload = Dping } ]
-      else if st.pinger && round = 1 then
-        [ { Protocol.dest = Protocol.Port 0; payload = Dping } ]
-      else []
-    in
+  let step (_ : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      st.ports_seen <- Protocol.Inbox.port inbox k :: st.ports_seen
+    done;
+    if st.pinger && round = 0 then send.fresh Dping
+    else if st.pinger && round = 1 then send.port 0 Dping;
     if round = 3 then
       st.decision <-
         (match st.ports_seen with
         | [ a; b ] when a = b -> Decision.Agreed 1 (* same stable port *)
         | [] -> Decision.Agreed 0
         | _ -> Decision.Agreed (-1));
-    (st, actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision
@@ -650,7 +645,7 @@ let qcheck_engine_deterministic =
 
 (* A KT1 protocol pinning the inbox arrival-order contract the delivery
    refactor must preserve: messages arrive grouped by ascending sender id,
-   and within one sender in the order its action list sent them. Every
+   and within one sender in the order its step sent them. Every
    node with a non-zero input [v] sends [v*10], [v*10+1] to node 1 in
    round 0; node 1 folds its round-1 inbox into a digit string. *)
 module Inbox_order = struct
@@ -664,20 +659,16 @@ module Inbox_order = struct
   let phases = Protocol.single_phase
   let init _ctx = { folded = 0; decision = Decision.Undecided }
 
-  let step (ctx : Protocol.ctx) st ~round ~inbox =
-    List.iter
-      (fun { Protocol.payload; _ } -> st.folded <- (st.folded * 100) + payload)
-      inbox;
-    let actions =
-      if round = 0 && ctx.input > 0 && ctx.self <> Some 1 then
-        [
-          { Protocol.dest = Protocol.Node 1; payload = ctx.input * 10 };
-          { Protocol.dest = Protocol.Node 1; payload = (ctx.input * 10) + 1 };
-        ]
-      else []
-    in
+  let step (ctx : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+    for k = 0 to Protocol.Inbox.length inbox - 1 do
+      st.folded <- (st.folded * 100) + Protocol.Inbox.payload inbox k
+    done;
+    if round = 0 && ctx.input > 0 && ctx.self <> Some 1 then begin
+      send.node 1 (ctx.input * 10);
+      send.node 1 ((ctx.input * 10) + 1)
+    end;
     if round >= 1 then st.decision <- Decision.Agreed st.folded;
-    (st, actions)
+    st
 
   let idle = Protocol.never_idle
   let decide st = st.decision

@@ -667,6 +667,132 @@ let test_case_run_is_runner_run () =
     (Chaos.Catalog.all @ Chaos.Catalog.extras)
 
 (* ------------------------------------------------------------------ *)
+(* Explicit broadcasts reach every peer once.                         *)
+
+(* The explicit election's leader and the explicit agreement's decided
+   candidates broadcast through ports 0 .. count - 1 and fresh ports for
+   the rest, where count is the ports the node has seen or opened. A
+   count that ran short of the engine's would show up as an unroutable
+   fresh send; one that ran long, as an unknown port or a duplicate edge.
+   A broadcast send is told apart by its bit size: [Leader_announce] is
+   the only rank-sized message past preprocessing, [Announce_value] the
+   only agreement message carrying an id. When every node is a candidate
+   (n = 8), every agreement node decides by itself and the run stops
+   before the broadcast round, so there the check is only that nothing
+   goes unroutable. *)
+let broadcast_cases =
+  let tag = Congest.tag_bits in
+  [
+    ( "ft-leader-election-explicit",
+      (fun ~n ~alpha ~round ~bits ->
+        bits = tag + Congest.rank_bits ~n
+        && round > Ftc_core.Params.preprocessing_rounds params ~n ~alpha),
+      fun ~n:_ ~alpha:_ -> true );
+    ( "ft-agreement-explicit",
+      (fun ~n ~alpha:_ ~round:_ ~bits -> bits = tag + 1 + Congest.id_bits ~n),
+      fun ~n ~alpha -> Ftc_core.Params.candidate_prob params ~n ~alpha < 1. );
+  ]
+
+(* Broadcast sends of a logged run as (round, src) -> dsts. *)
+let broadcasts ~is_broadcast ~n ~alpha (r : Engine.result) =
+  let groups = Hashtbl.create 8 in
+  Trace.iter
+    (function
+      | Trace.Send { round; src; dst; bits; _ } when is_broadcast ~n ~alpha ~round ~bits ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt groups (round, src)) in
+          Hashtbl.replace groups (round, src) (dst :: prev)
+      | _ -> ())
+    (Option.get r.Engine.trace);
+  List.sort compare (Hashtbl.fold (fun k dsts acc -> (k, List.rev dsts) :: acc) groups [])
+
+let test_explicit_broadcast_coverage () =
+  List.iter
+    (fun (tag, is_broadcast, broadcasts_expected) ->
+      let subject = subject tag in
+      let (module P : Ftc_sim.Protocol.S) = subject.protocol in
+      let module R = Reference_engine.Make (P) in
+      let module E = Engine.Make (P) in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun (aname, mk_adv) ->
+              let alpha = 0.5 in
+              let seen = ref 0 in
+              List.iter
+                (fun seed ->
+                  let cfg () =
+                    {
+                      (Engine.default_config ~n ~alpha ~seed) with
+                      Engine.inputs = Some (subject.mk_inputs ~n ~salt:seed);
+                      adversary = mk_adv ();
+                      trace = Trace.Log;
+                    }
+                  in
+                  let ctx = Printf.sprintf "%s n=%d %s seed %d" tag n aname seed in
+                  let engine = E.run (cfg ()) and reference = R.run (cfg ()) in
+                  let groups = broadcasts ~is_broadcast ~n ~alpha engine in
+                  Alcotest.(check bool)
+                    (ctx ^ ": same broadcasts as the reference")
+                    true
+                    (groups = broadcasts ~is_broadcast ~n ~alpha reference);
+                  List.iter
+                    (fun (r : Engine.result) ->
+                      Alcotest.(check int) (ctx ^ ": no unroutable send") 0
+                        r.Engine.metrics.Metrics.msgs_unroutable;
+                      Alcotest.(check (list string)) (ctx ^ ": no violation") []
+                        (List.map Violation.to_string r.Engine.violations))
+                    [ engine; reference ];
+                  List.iter
+                    (fun ((round, src), dsts) ->
+                      seen := !seen + 1;
+                      Alcotest.(check (list int))
+                        (Printf.sprintf "%s: node %d's round-%d broadcast reaches each peer once" ctx
+                           src round)
+                        (List.filter (( <> ) src) (List.init n Fun.id))
+                        (List.sort compare dsts))
+                    groups)
+                [ 1; 2; 3; 4 ];
+              if !seen = 0 && broadcasts_expected ~n ~alpha then
+                Alcotest.failf "%s n=%d %s: no broadcast in any seed" tag n aname)
+            [ ("none", fun () -> Ftc_sim.Adversary.none); ("random", fun () -> Strategy.random_crashes ()) ])
+        [ 8; 64 ])
+    broadcast_cases
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: the adapter allocates little per message.         *)
+
+(* A warm one-domain adapter run: the step reads the engine's inbox in
+   place and sends through callbacks, so what is left per message is
+   the payloads and the engine's own per-round work. The election bound
+   is half of the 39.5 words per message the list-based step allocated;
+   the agreement bound is its measured 20.7 words with a 20% margin (the
+   list-based step allocated 58.5; at alpha = 0.125 most nodes are
+   faulty, so the adversary's per-round view dominates). *)
+let test_adapter_allocation_gate () =
+  List.iter
+    (fun (tag, n, alpha, bound) ->
+      let subject = subject tag in
+      let (module P : Ftc_sim.Protocol.S) = subject.protocol in
+      let module E = Engine.Make (P) in
+      let cfg () =
+        {
+          (Engine.default_config ~n ~alpha ~seed:1001) with
+          Engine.inputs = Some (subject.mk_inputs ~n ~salt:1001);
+          adversary = Strategy.random_crashes ();
+        }
+      in
+      ignore (E.run (cfg ()));
+      let before = Gc.minor_words () in
+      let r = E.run (cfg ()) in
+      let words = Gc.minor_words () -. before in
+      let per_msg = words /. float_of_int r.Engine.metrics.Metrics.msgs_sent in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d alpha=%g: %.1f minor words per message <= %.0f" tag n alpha
+           per_msg bound)
+        true (per_msg <= bound))
+    [ ("ft-leader-election", 256, 0.5, 20.); ("ft-agreement", 48, 0.125, 25.) ]
+
+(* ------------------------------------------------------------------ *)
 (* Satellite regression: aggregation over an empty trial list.        *)
 
 let test_aggregate_empty () =
@@ -705,6 +831,14 @@ let () =
             test_fast_trace_reconciles_with_metrics;
         ] );
       ("golden", [ Alcotest.test_case "n=8 fixture" `Quick test_golden_fixture ]);
+      ( "broadcast",
+        [
+          Alcotest.test_case "explicit broadcasts reach each peer once" `Quick
+            test_explicit_broadcast_coverage;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "adapter minor words per message" `Quick test_adapter_allocation_gate ]
+      );
       ( "replay",
         [
           Alcotest.test_case "v1-v4 parse and re-print bit-identically" `Quick

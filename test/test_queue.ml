@@ -117,19 +117,17 @@ let run_funnel ?(n = 24) ?(fan = 2) ?(rounds = 4) ?(seed = 3) ?queue ?(trace = f
     let phases = Protocol.single_phase
     let init (ctx : Protocol.ctx) = { me = Option.value ~default:(-1) ctx.self }
 
-    let step (_ : Protocol.ctx) st ~round ~inbox =
+    let step (_ : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
       if st.me = 0 then
-        List.iter
-          (fun { Protocol.from_port = _; payload = Ping; ecn } ->
-            received.(round - 1) <- received.(round - 1) + 1;
-            if ecn then incr marks)
-          inbox;
-      let actions =
-        if st.me <> 0 && round < rounds then
-          List.init fan (fun _ -> { Protocol.dest = Protocol.Node 0; payload = Ping })
-        else []
-      in
-      (st, actions)
+        for k = 0 to Protocol.Inbox.length inbox - 1 do
+          received.(round - 1) <- received.(round - 1) + 1;
+          if Protocol.Inbox.ecn inbox k then incr marks
+        done;
+      if st.me <> 0 && round < rounds then
+        for _ = 1 to fan do
+          send.node 0 Ping
+        done;
+      st
 
     let idle = Protocol.never_idle
     let decide _ = Decision.Undecided

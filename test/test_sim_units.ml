@@ -117,30 +117,40 @@ let test_trace_pp_event () =
   in
   Alcotest.(check bool) "mentions loss" true (Astring.String.is_infix ~affix:"lost" s)
 
-let test_fanout_counts () =
-  let acts = Fanout.broadcast ~n:10 ~known_ports:[ 0; 3; 5 ] "x" in
-  Alcotest.(check int) "n-1 actions" 9 (List.length acts);
-  let ports, fresh =
-    List.partition (fun a -> match a.Protocol.dest with Protocol.Port _ -> true | _ -> false) acts
+(* The sends of one broadcast, in order. *)
+let broadcast ~n ~ports payload =
+  let out = ref [] in
+  let record dest m = out := (dest, m) :: !out in
+  let send =
+    {
+      Protocol.fresh = record Protocol.Fresh_port;
+      port = (fun p -> record (Protocol.Port p));
+      node = (fun d -> record (Protocol.Node d));
+    }
   in
-  Alcotest.(check int) "known ports used" 3 (List.length ports);
-  Alcotest.(check int) "fresh for the rest" 6 (List.length fresh);
-  List.iter
-    (fun (a : string Protocol.action) ->
-      Alcotest.(check string) "payload carried" "x" a.Protocol.payload)
-    acts
+  Fanout.broadcast send ~n ~ports payload;
+  List.rev !out
+
+let test_fanout_counts () =
+  let sends = broadcast ~n:10 ~ports:3 "x" in
+  Alcotest.(check int) "n-1 sends" 9 (List.length sends);
+  Alcotest.(check bool) "known ports first, highest first, then fresh" true
+    (List.map fst sends
+    = [ Protocol.Port 2; Protocol.Port 1; Protocol.Port 0 ] @ List.init 6 (fun _ -> Protocol.Fresh_port));
+  List.iter (fun (_, m) -> Alcotest.(check string) "payload carried" "x" m) sends
 
 let test_fanout_all_known () =
-  let acts = Fanout.broadcast ~n:4 ~known_ports:[ 0; 1; 2 ] () in
-  Alcotest.(check int) "no fresh needed" 3 (List.length acts)
+  let sends = broadcast ~n:4 ~ports:3 () in
+  Alcotest.(check int) "no fresh needed" 3 (List.length sends);
+  Alcotest.(check bool) "all through ports" true
+    (List.for_all (function Protocol.Port _, () -> true | _ -> false) sends)
 
 let test_fanout_none_known () =
-  let acts = Fanout.broadcast ~n:4 ~known_ports:[] () in
-  Alcotest.(check int) "all fresh" 3 (List.length acts);
+  let sends = broadcast ~n:4 ~ports:0 () in
+  Alcotest.(check int) "all fresh" 3 (List.length sends);
   List.iter
-    (fun (a : unit Protocol.action) ->
-      Alcotest.(check bool) "fresh dest" true (a.Protocol.dest = Protocol.Fresh_port))
-    acts
+    (fun (dest, ()) -> Alcotest.(check bool) "fresh dest" true (dest = Protocol.Fresh_port))
+    sends
 
 let () =
   Alcotest.run "sim-units"

@@ -28,20 +28,18 @@ let make_probe ~fan ~rounds () =
     let phases = Protocol.single_phase
     let init (ctx : Protocol.ctx) = { sender = ctx.input > 0 }
 
-    let step (_ : Protocol.ctx) st ~round ~inbox =
-      List.iter
-        (fun { Protocol.from_port = _; payload; _ } ->
-          Hashtbl.replace delivered payload
-            (1 + Option.value ~default:0 (Hashtbl.find_opt delivered payload)))
-        inbox;
-      let actions =
-        if st.sender && round < rounds then
-          List.init fan (fun _ ->
-              incr sent;
-              { Protocol.dest = Protocol.Fresh_port; payload = !sent })
-        else []
-      in
-      (st, actions)
+    let step (_ : Protocol.ctx) st ~round ~inbox ~(send : msg Protocol.send) =
+      for k = 0 to Protocol.Inbox.length inbox - 1 do
+        let payload = Protocol.Inbox.payload inbox k in
+        Hashtbl.replace delivered payload
+          (1 + Option.value ~default:0 (Hashtbl.find_opt delivered payload))
+      done;
+      if st.sender && round < rounds then
+        for _ = 1 to fan do
+          incr sent;
+          send.fresh !sent
+        done;
+      st
 
     (* Never decides: keeps the engine from early-stopping between
        windows, so the full send calendar runs. *)
