@@ -121,12 +121,13 @@ val run_many : ?recorder:Ftc_telemetry.Recorder.t -> spec -> seeds:int list -> o
 
 val run_many_par :
   ?recorder:Ftc_telemetry.Recorder.t -> jobs:int -> spec -> seeds:int list -> outcome list
-(** As {!run_many}, but the trials run on a pool of [jobs] domains
-    ({!Ftc_parallel.Pool}). The determinism contract: per-trial outcomes
-    are bit-identical to the sequential path — trials share no state, so
-    only the execution interleaving differs, and results are returned in
-    seed order regardless. On violations, raises the same
-    {!Model_violation} (first violating seed) the sequential path would.
+(** As {!run_many}, but the trials run on [jobs] workers, the calling
+    domain among them ({!Ftc_parallel.Pool.run_map}). The determinism
+    contract: per-trial outcomes are bit-identical to the sequential
+    path — trials share no state, so only the execution interleaving
+    differs, and results are returned in seed order regardless. On
+    violations, raises the same {!Model_violation} (first violating
+    seed) the sequential path would.
     [jobs = 1] is exactly [run_many] (no domains spawned). Raises
     [Invalid_argument] when [jobs < 1]. A live [recorder] additionally
     installs a pool monitor, so queue wait and per-domain busy time are

@@ -1,92 +1,59 @@
-(** A fixed-size pool of OCaml 5 domains behind a shared work queue.
+(** Run work on several OCaml 5 domains, with the calling domain as one
+    of the workers.
 
-    The pool exists to parallelise {e independent} trials — every job is a
-    closure with no ordering constraints against the others — while keeping
-    results deterministic: {!map} returns its results in submission order,
-    whatever order the workers finished in, so a parallel map over
-    pure-per-item work is observationally identical to [List.map].
+    The pool exists to parallelise {e independent} work — every item is
+    a call with no ordering constraints against the others — while
+    keeping results deterministic: {!run_map} returns its results in
+    input order, whatever order the workers finished in, so a parallel
+    map over pure-per-item work is observationally identical to
+    [List.map].
 
-    No dependencies beyond the stdlib: workers park on a [Condition]
-    until work arrives or the pool shuts down. Their domains outlive the
-    pool: after {!shutdown} they wait for the next pool's workers, and
-    new domains are spawned only when no parked one is free. *)
+    There is no queue. {!run_workers} runs worker 0 on the calling
+    domain and workers [1 … jobs-1] on other domains, and the maps claim
+    items through an atomic cursor. No domain sits blocked while the
+    others work: under OCaml 5 every minor collection stops all domains,
+    and one parked in [Condition.wait] has to be woken for it, so a
+    caller that only coordinated made every collection slower. The
+    caller blocks once, at the end, until the other workers return.
 
-type t
+    No dependencies beyond the stdlib. The other workers' domains
+    outlive the call: between calls they park on a [Condition], and new
+    domains are spawned only when no parked one is free. *)
 
 type monitor = {
-  now_ns : unit -> int64;  (** The monitor's clock; called off the pool lock. *)
+  now_ns : unit -> int64;  (** The monitor's clock. *)
   enqueued : depth:int -> unit;
-      (** A job was queued; [depth] is the queue length just after. *)
+      (** A map started; [depth] is the number of items it holds. *)
   job_done : worker:int -> enqueued_ns:int64 -> started_ns:int64 -> finished_ns:int64 -> unit;
-      (** A worker finished a job: queue wait is [started - enqueued],
-          busy time [finished - started]. *)
+      (** A worker finished an item: queue wait is [started - enqueued]
+          (map start to claim), busy time [finished - started]. [worker]
+          is 0 for the calling domain. *)
 }
-(** Telemetry hooks. All callbacks run outside the pool lock (so they
-    can never deadlock the pool) on whichever domain did the work; they
-    must be domain-safe and must not raise. With no monitor installed
-    the pool never reads a clock. *)
+(** Telemetry hooks. Callbacks run on whichever domain did the work;
+    they must be domain-safe. One that raises fails the call like a
+    raising item. With no monitor installed the pool never reads a
+    clock. *)
 
-val create : ?monitor:monitor -> jobs:int -> unit -> t
-(** Start [jobs] workers, each on its own domain (so up to [jobs]
-    closures run at once; the submitting domain only coordinates).
-    Raises [Invalid_argument] when [jobs < 1]. *)
-
-val jobs : t -> int
-(** The worker count the pool was created with. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue one fire-and-forget closure. The closure should not raise —
-    {!map} and {!map_results} wrap user work in their own handlers. A raw
-    [submit] job that does raise is not silently swallowed: the exception
-    is counted (see {!dropped_exceptions}) and forwarded to the pool's
-    exception sink (see {!set_exception_sink}), and the worker keeps
-    going. Raises [Invalid_argument] on a pool that was {!shutdown}. *)
-
-val dropped_exceptions : t -> int
-(** How many exceptions have escaped raw {!submit} jobs so far. A
-    non-zero value after a run means some job crashed without anyone
-    observing it — the supervisor surfaces this as a warning. *)
-
-val set_exception_sink : t -> (exn -> Printexc.raw_backtrace -> unit) -> unit
-(** Install a callback invoked (from the worker domain) for every
-    exception escaping a raw {!submit} job, replacing the previous sink.
-    The default sink does nothing. The sink itself must not raise; if it
-    does, that exception is discarded. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] runs [f] on every element of [xs] across the pool's
-    workers and returns the results {e in submission order}: slot [i] of
-    the result always holds [f (List.nth xs i)].
-
-    Every element is attempted at most once; if some [f x] raises, the
-    first exception (in completion time) wins, jobs that have not started
-    yet are cancelled (their [f] never runs), already-running jobs finish,
-    and the exception is re-raised in the caller with its original
-    backtrace. The pool survives a raising map and can be reused. *)
-
-val shutdown : t -> unit
-(** Let workers drain the queue, then wait for every worker to leave
-    the pool, re-raising what one died of (a monitor callback that
-    raised). Idempotent. After shutdown, {!submit} and {!map} raise
-    [Invalid_argument]. *)
-
-val with_pool : ?monitor:monitor -> jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] over a fresh pool and shuts it down on
-    every exit path. *)
+val run_workers : jobs:int -> (int -> unit) -> unit
+(** [run_workers ~jobs f] runs [f 0] on the calling domain and
+    [f 1 … f (jobs-1)] each on its own parked or freshly spawned domain,
+    and returns only after every one of them has returned. If some [f w]
+    raises, the first exception (in completion time) is re-raised with
+    its original backtrace, once all have returned; the others are not
+    interrupted, so [f] decides when to stop. Raises [Invalid_argument]
+    when [jobs < 1]. *)
 
 val run_map : ?monitor:monitor -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [with_pool ~jobs (fun p -> map p f xs)], except
-    that [jobs = 1] short-circuits to a plain sequential [List.map] — no
-    domain is spawned, so single-job callers pay nothing (and the
-    monitor, if any, is not consulted). *)
+(** [run_map ~jobs f xs] runs [f] on every element of [xs] across
+    [jobs] workers ({!run_workers}) and returns the results {e in input
+    order}: slot [i] of the result always holds [f (List.nth xs i)].
 
-val map_results : t -> ('a -> 'b) -> 'a list -> ('b, exn * Printexc.raw_backtrace) result list
-(** Per-slot outcome capture: like {!map} but a raising [f x] fails only
-    its own slot ([Error (e, bt)]) — nothing is cancelled, every element
-    runs, and the call never raises from user work. Slot order is
-    submission order, exactly as for {!map}. This is the keep-going
-    primitive: the sweep supervisor uses it to quarantine failed trials
-    while the rest of the sweep completes. *)
+    Every element is attempted at most once; if some [f x] raises, no
+    further element is claimed, already-running ones finish, and the
+    first exception (in completion time) is re-raised with its original
+    backtrace. [jobs = 1] is a plain [List.map]: no domain is used and
+    the monitor is not consulted. Raises [Invalid_argument] when
+    [jobs < 1]. *)
 
 val run_map_results :
   ?monitor:monitor ->
@@ -94,5 +61,8 @@ val run_map_results :
   ('a -> 'b) ->
   'a list ->
   ('b, exn * Printexc.raw_backtrace) result list
-(** One-shot {!map_results}, with the same [jobs = 1] sequential
-    short-circuit as {!run_map}. *)
+(** Per-slot outcome capture: like {!run_map} but a raising [f x] fails
+    only its own slot ([Error (e, bt)]) — nothing is cancelled, every
+    element runs, and the call never raises from user work. Slot order
+    is input order, exactly as for {!run_map}. This is the keep-going
+    primitive. *)

@@ -7,12 +7,11 @@ module Recorder = Ftc_telemetry.Recorder
 module Registry = Ftc_telemetry.Registry
 module Pool = Ftc_parallel.Pool
 
-(* Chunking is part of the determinism story: states are journaled in
-   fixed-size chunks and fanned out in fixed-size slices, both
-   independent of [--jobs], so the exploration order, the journal and
-   the report never depend on the worker count. *)
+(* Chunking is part of the determinism story: states are claimed,
+   journaled and merged in fixed-size chunks, independent of [--jobs],
+   so the exploration order, the journal and the report never depend on
+   the worker count. *)
 let chunk_states = 512
-let slice_states = 64
 
 type config = {
   protocol : string;
@@ -91,7 +90,7 @@ let spec_description cfg ~horizon =
     cfg.keep_going chunk_states
 
 (* Judge one state: try its seeds in order, return the first failing
-   one. Runs on pool workers — everything it touches is immutable. *)
+   one. Runs on every worker — everything it touches is immutable. *)
 let eval space cfg state =
   let rec go si =
     if si >= cfg.seeds_per_state then None
@@ -206,32 +205,42 @@ let load_journal ~path ~spec =
 
 (* --- exploration ------------------------------------------------------ *)
 
-let take k seq =
-  let rec go k acc seq =
-    if k = 0 then (List.rev acc, seq)
+(* What one chunk found: states explored, orbits they cover, and its
+   violations in BFS order; [hit] = cut at a violation. *)
+type chunk = { explored : int; orbits : int; viols : violation list; hit : bool }
+
+(* Judge states [first, last) of [seq], which starts at state [first].
+   Without --keep-going the chunk is cut at its first violation, so the
+   counterexample is the BFS-minimal one and later states count as never
+   explored. [abandon] is polled between states. Returns the chunk and
+   the sequence after its last explored state. *)
+let eval_chunk space cfg ~first ~last ~abandon seq =
+  let finish explored orbits viols hit = { explored; orbits; viols = List.rev viols; hit } in
+  let rec go i seq orbits viols =
+    let explored = i - first in
+    if i = last || abandon () then (finish explored orbits viols false, seq)
     else
       match seq () with
-      | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (x, tl) -> go (k - 1) (x :: acc) tl
+      | Seq.Nil -> (finish explored orbits viols false, Seq.empty)
+      | Seq.Cons (s, rest) -> (
+          let orbits = orbits + if cfg.reduction then Space.orbit_size space s else 1 in
+          match eval space cfg s with
+          | None -> go (i + 1) rest orbits viols
+          | Some (si, ids, details) ->
+              let v =
+                {
+                  index = i;
+                  state = Space.encode space s;
+                  seed_index = si;
+                  case = Space.to_case space ~base_seed:cfg.base_seed ~seed_index:si s;
+                  oracles = ids;
+                  details;
+                }
+              in
+              if cfg.keep_going then go (i + 1) rest orbits (v :: viols)
+              else (finish (explored + 1) orbits (v :: viols) true, rest))
   in
-  go k [] seq
-
-let rec slice_up k = function
-  | [] -> []
-  | xs ->
-      let rec split i acc = function
-        | rest when i = k -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: rest -> split (i + 1) (x :: acc) rest
-      in
-      let head, rest = split 0 [] xs in
-      head :: slice_up k rest
-
-let with_runner ~recorder ~jobs f =
-  if jobs = 1 then f (fun g xs -> List.map g xs)
-  else
-    let monitor = Ftc_telemetry.Instrument.pool_monitor recorder "verify" in
-    Pool.with_pool ?monitor ~jobs (fun pool -> f (fun g xs -> Pool.map pool g xs))
+  go first seq 0 []
 
 let run ?(recorder = Recorder.disabled) ?journal ?(resume = false) ?(log = fun _ -> ())
     cfg =
@@ -280,93 +289,117 @@ let run ?(recorder = Recorder.disabled) ?journal ?(resume = false) ?(log = fun _
   let nviols = ref (List.length resumed_viols) in
   let stop = ref (resumed_viols <> [] && not cfg.keep_going) in
   let chunk_id = ref resumed_records in
-  let seq =
-    ref
-      (Seq.drop resumed_states
-         (if cfg.reduction then Space.states space else Space.all_states space))
+  (* Chunk k (counted from the resume point) holds states
+     [resumed + 512k, min planned (resumed + 512(k+1))). Workers claim
+     chunk ids from [next]; a violation without --keep-going lowers
+     [stop_at] to its chunk, and chunks above it are neither claimed nor
+     kept. Finished chunks wait in [finished] until worker 0 (the caller)
+     merges the in-order prefix, so the journal, the counters and the
+     report see chunks in order whatever [--jobs] says. *)
+  let nchunks =
+    if !stop then 0 else (max 0 (planned - resumed_states) + chunk_states - 1) / chunk_states
   in
-  with_runner ~recorder ~jobs:cfg.jobs (fun map_slices ->
-      while (not !stop) && !explored < planned do
-        let offset = !explored in
-        let chunk, rest = take (min chunk_states (planned - offset)) !seq in
-        seq := rest;
-        if chunk = [] then stop := true
-        else begin
-          let results =
-            List.concat
-              (map_slices
-                 (fun sl -> List.map (fun s -> eval space cfg s) sl)
-                 (slice_up slice_states chunk))
-          in
-          (* Scan in submission order; without --keep-going, truncate the
-             chunk at the first violation so the counterexample is the
-             BFS-minimal one and later (already computed) states are
-             discarded as if never explored. *)
-          let rec scan i states rs acc_expl acc_orbs acc_viols =
-            match (states, rs) with
-            | [], [] -> (acc_expl, acc_orbs, List.rev acc_viols, false)
-            | s :: ss, r :: rr -> (
-                let orb = if cfg.reduction then Space.orbit_size space s else 1 in
-                let acc_expl = acc_expl + 1 and acc_orbs = acc_orbs + orb in
-                match r with
-                | None -> scan (i + 1) ss rr acc_expl acc_orbs acc_viols
-                | Some (si, ids, details) ->
-                    let v =
-                      {
-                        index = offset + i;
-                        state = Space.encode space s;
-                        seed_index = si;
-                        case =
-                          Space.to_case space ~base_seed:cfg.base_seed ~seed_index:si s;
-                        oracles = ids;
-                        details;
-                      }
-                    in
-                    if cfg.keep_going then
-                      scan (i + 1) ss rr acc_expl acc_orbs (v :: acc_viols)
-                    else (acc_expl, acc_orbs, List.rev (v :: acc_viols), true))
-            | _ -> assert false
-          in
-          let chunk_expl, chunk_orbs, chunk_viols, hit = scan 0 chunk results 0 0 [] in
-          explored := !explored + chunk_expl;
-          covered := !covered + chunk_orbs;
-          violations := List.rev_append chunk_viols !violations;
-          nviols := !nviols + List.length chunk_viols;
-          if hit then stop := true;
-          Option.iter
-            (fun h ->
-              Journal.append h
-                (chunk_record ~chunk:!chunk_id ~explored:chunk_expl ~orbits:chunk_orbs
-                   chunk_viols))
-            jhandle;
-          incr chunk_id;
-          Registry.incr reg "ftc_verify_states" chunk_expl;
-          if chunk_viols <> [] then
-            Registry.incr reg "ftc_verify_violations" (List.length chunk_viols);
-          Registry.set_gauge reg "ftc_verify_coverage_permille"
-            (if total_states = 0 then 1000 else 1000 * !explored / total_states);
-          if Recorder.enabled recorder then begin
-            let now = Recorder.now_ns recorder in
-            let elapsed = Int64.to_float (Int64.sub now start_ns) /. 1e9 in
-            if elapsed > 0. then
-              Registry.set_gauge reg "ftc_verify_states_per_sec"
-                (int_of_float (float_of_int (!explored - resumed_states) /. elapsed));
-            Recorder.emit recorder
-              (Recorder.Heartbeat
-                 {
-                   at_ns = now;
-                   completed = !explored;
-                   failed = !nviols;
-                   total = planned;
-                   verdict = None;
-                 })
-          end;
-          if !chunk_id mod 16 = 0 then
-            log
-              (Printf.sprintf "verify %s: %d/%d states, %d violation(s)" cfg.protocol
-                 !explored planned !nviols)
-        end
-      done);
+  let next = Atomic.make 0 and stop_at = Atomic.make max_int in
+  let rec lower k =
+    let cur = Atomic.get stop_at in
+    if k < cur && not (Atomic.compare_and_set stop_at cur k) then lower k
+  in
+  let lock = Mutex.create () and finished = Hashtbl.create 16 in
+  let merged = ref 0 in
+  let merge_chunk c =
+    explored := !explored + c.explored;
+    covered := !covered + c.orbits;
+    violations := List.rev_append c.viols !violations;
+    nviols := !nviols + List.length c.viols;
+    if c.hit then stop := true;
+    Option.iter
+      (fun h ->
+        Journal.append h
+          (chunk_record ~chunk:!chunk_id ~explored:c.explored ~orbits:c.orbits c.viols))
+      jhandle;
+    incr chunk_id;
+    Registry.incr reg "ftc_verify_states" c.explored;
+    if c.viols <> [] then Registry.incr reg "ftc_verify_violations" (List.length c.viols);
+    Registry.set_gauge reg "ftc_verify_coverage_permille"
+      (if total_states = 0 then 1000 else 1000 * !explored / total_states);
+    if Recorder.enabled recorder then begin
+      let now = Recorder.now_ns recorder in
+      let elapsed = Int64.to_float (Int64.sub now start_ns) /. 1e9 in
+      if elapsed > 0. then
+        Registry.set_gauge reg "ftc_verify_states_per_sec"
+          (int_of_float (float_of_int (!explored - resumed_states) /. elapsed));
+      Recorder.emit recorder
+        (Recorder.Heartbeat
+           {
+             at_ns = now;
+             completed = !explored;
+             failed = !nviols;
+             total = planned;
+             verdict = None;
+           })
+    end;
+    if !chunk_id mod 16 = 0 then
+      log
+        (Printf.sprintf "verify %s: %d/%d states, %d violation(s)" cfg.protocol !explored
+           planned !nviols)
+  in
+  let rec merge () =
+    if not !stop then
+      match
+        Mutex.protect lock (fun () ->
+            let c = Hashtbl.find_opt finished !merged in
+            Hashtbl.remove finished !merged;
+            c)
+      with
+      | Some c when c.explored > 0 ->
+          merge_chunk c;
+          incr merged;
+          merge ()
+      | Some _ -> stop := true (* the enumeration ran dry before [planned] *)
+      | None -> ()
+  in
+  let monitor =
+    if cfg.jobs = 1 then None else Ftc_telemetry.Instrument.pool_monitor recorder "verify"
+  in
+  let enqueued_ns = match monitor with Some m -> m.Pool.now_ns () | None -> 0L in
+  let states = if cfg.reduction then Space.states space else Space.all_states space in
+  (* Each worker walks its own forward-only cursor over the persistent
+     enumeration, skipping the chunks other workers claimed. *)
+  let worker w =
+    let rec loop seq pos =
+      let k = Atomic.fetch_and_add next 1 in
+      if k < nchunks && k <= Atomic.get stop_at then begin
+        let started_ns = match monitor with Some m -> m.Pool.now_ns () | None -> 0L in
+        let first = resumed_states + (k * chunk_states) in
+        let c, rest =
+          eval_chunk space cfg ~first
+            ~last:(min planned (first + chunk_states))
+            ~abandon:(fun () -> k > Atomic.get stop_at)
+            (Seq.drop (first - pos) seq)
+        in
+        (* [stop_at] only falls, so an abandoned (partial) chunk is never
+           kept: journaling one would make a resume trust it. *)
+        if k <= Atomic.get stop_at then
+          Mutex.protect lock (fun () -> Hashtbl.replace finished k c);
+        if c.hit then lower k;
+        Option.iter
+          (fun m ->
+            m.Pool.job_done ~worker:w ~enqueued_ns ~started_ns ~finished_ns:(m.Pool.now_ns ()))
+          monitor;
+        if w = 0 then merge ();
+        loop rest (first + c.explored)
+      end
+    in
+    match loop states 0 with
+    | () -> ()
+    | exception e ->
+        (* Stop the other workers too; [run_workers] re-raises this. *)
+        let bt = Printexc.get_raw_backtrace () in
+        lower (-1);
+        Printexc.raise_with_backtrace e bt
+  in
+  Pool.run_workers ~jobs:(max 1 (min cfg.jobs nchunks)) worker;
+  merge ();
   Option.iter Journal.close jhandle;
   Ok
     {

@@ -7,11 +7,12 @@
     the same config produce byte-identical reports whatever [--jobs]
     says.
 
-    Execution is chunked: states are consumed in fixed-size chunks
-    (independent of the worker count), each chunk fans its fixed
-    sub-slices out over {!Ftc_parallel.Pool}, results are scanned in
-    submission order, and one JSONL record per completed chunk goes
-    through the {!Ftc_journal} write-ahead log. A SIGKILLed run resumed
+    Execution is chunked: states are cut into fixed-size chunks
+    (independent of the worker count) that the workers of
+    {!Ftc_parallel.Pool.run_workers} claim, judge and cut at their first
+    violation; the calling domain is worker 0 and merges finished chunks
+    in order, writing one JSONL record per chunk through the
+    {!Ftc_journal} write-ahead log. A SIGKILLed run resumed
     with the same config replays the journaled chunk prefix (validated
     by spec hash and consecutive chunk ids) without re-executing it and
     continues from the first unexplored state — the resumed report, and

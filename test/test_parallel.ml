@@ -176,67 +176,83 @@ let qcheck_pool_results_at_submission_index =
 
 exception Poisoned of int
 
+(* A worker checks for a failure before each claim, so once item [bad]
+   has raised, each other worker finishes the item it holds and starts
+   at most one more. The 40-60 items after [bad] take ~3 ms each, so a
+   map that kept claiming would run all of them; one that stops leaves
+   most unstarted. *)
 let qcheck_pool_raising_job_cancels_and_reraises =
   QCheck.Test.make ~name:"a raising job cancels the rest and re-raises"
     ~count:20
-    QCheck.(pair (int_range 2 4) (pair (int_range 0 9) (int_range 10 30)))
-    (fun (jobs, (bad, len)) ->
-      Pool.with_pool ~jobs (fun pool ->
-          let started = Atomic.make 0 in
-          let raised =
-            match
-              Pool.map pool
-                (fun i ->
-                  Atomic.incr started;
-                  if i = bad then raise (Poisoned i);
-                  ignore (busy_work 1_000);
-                  i)
-                (List.init len Fun.id)
-            with
-            | _ -> false
-            | exception Poisoned i -> i = bad
-          in
-          (* Cancellation: jobs not yet started when the failure landed
-             never ran, so at most every job started. And the pool must
-             survive a poisoned map and stay usable. *)
-          raised
-          && Atomic.get started <= len
-          && Pool.map pool succ [ 1; 2; 3 ] = [ 2; 3; 4 ]))
+    QCheck.(pair (int_range 2 4) (pair (int_range 0 9) (int_range 40 60)))
+    (fun (jobs, (bad, after)) ->
+      let len = bad + 1 + after in
+      let started = Atomic.make 0 in
+      let raised =
+        match
+          Pool.run_map ~jobs
+            (fun i ->
+              Atomic.incr started;
+              if i = bad then raise (Poisoned i);
+              ignore (busy_work (if i > bad then 2_000_000 else 1_000));
+              i)
+            (List.init len Fun.id)
+        with
+        | _ -> false
+        | exception Poisoned i -> i = bad
+      in
+      raised && Atomic.get started < len && Pool.run_map ~jobs succ [ 1; 2; 3 ] = [ 2; 3; 4 ])
 
-let test_pool_shutdown_idempotent_and_final () =
-  let pool = Pool.create ~jobs:2 () in
-  Alcotest.(check int) "jobs recorded" 2 (Pool.jobs pool);
-  Alcotest.(check (list int)) "map works" [ 2; 4; 6 ]
-    (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      Pool.submit pool ignore)
+(* The call returns only after every worker has: no item runs, or is
+   still running, once [run_map] has returned or raised. *)
+let test_nothing_runs_after_return () =
+  let returned = Atomic.make false and late = Atomic.make 0 in
+  let item i =
+    if Atomic.get returned then Atomic.incr late;
+    ignore (busy_work (1_000 * (i mod 7)));
+    if i = 13 then raise (Poisoned i);
+    if Atomic.get returned then Atomic.incr late;
+    i
+  in
+  List.iter
+    (fun xs ->
+      (try ignore (Pool.run_map ~jobs:3 item xs) with Poisoned _ -> ());
+      Atomic.set returned true;
+      ignore (busy_work 200_000);
+      Alcotest.(check int) "no item ran after the call returned" 0 (Atomic.get late);
+      Atomic.set returned false)
+    [ List.init 12 Fun.id; List.init 40 Fun.id ]
 
-(* Worker domains outlive their pool: later pools run on the domains
+let test_pool_rejects_bad_jobs () =
+  Alcotest.check_raises "run_map jobs=0 rejected"
+    (Invalid_argument "Pool.run_map: jobs must be >= 1") (fun () ->
+      ignore (Pool.run_map ~jobs:0 Fun.id [ 1 ]));
+  Alcotest.check_raises "run_workers jobs=0 rejected"
+    (Invalid_argument "Pool.run_workers: jobs must be >= 1") (fun () ->
+      Pool.run_workers ~jobs:0 ignore)
+
+(* Worker domains outlive the call: later maps run on the domains
    earlier ones parked instead of spawning fresh ones (whose exit would
    strand their heap). Every spawn gets a new domain id, so twenty
-   two-worker pools that each spawned would show forty ids; reuse keeps
-   it to the few domains earlier tests in this process left parked. *)
+   two-worker maps that each spawned would show twenty-one ids; reuse
+   keeps it to the caller and the few domains earlier tests in this
+   process left parked. *)
 let test_pool_reuses_domains () =
   let ids =
     List.concat_map
       (fun _ ->
-        Pool.with_pool ~jobs:2 (fun pool ->
-            Pool.map pool
-              (fun _ ->
-                ignore (busy_work 20_000);
-                (Domain.self () :> int))
-              (List.init 8 Fun.id)))
+        Pool.run_map ~jobs:2
+          (fun _ ->
+            ignore (busy_work 20_000);
+            (Domain.self () :> int))
+          (List.init 8 Fun.id))
       (List.init 20 Fun.id)
   in
-  Alcotest.(check bool) "domains reused across pools" true
+  Alcotest.(check bool) "domains reused across calls" true
     (List.length (List.sort_uniq compare ids) <= 8)
 
-(* A worker that dies (here: of a raising monitor callback) still leaves
-   the pool, and shutdown reports what it died of. *)
-let test_pool_shutdown_reraises_worker_death () =
+(* A monitor callback that raises fails the map like a raising item. *)
+let test_raising_monitor_reraised () =
   let monitor =
     {
       Pool.now_ns = (fun () -> 0L);
@@ -244,14 +260,53 @@ let test_pool_shutdown_reraises_worker_death () =
       job_done = (fun ~worker:_ ~enqueued_ns:_ ~started_ns:_ ~finished_ns:_ -> raise Exit);
     }
   in
-  let pool = Pool.create ~monitor ~jobs:1 () in
-  Pool.submit pool ignore;
-  Alcotest.check_raises "shutdown re-raises" Exit (fun () -> Pool.shutdown pool)
+  Alcotest.check_raises "run_map re-raises" Exit (fun () ->
+      ignore (Pool.run_map ~monitor ~jobs:2 succ [ 1; 2; 3 ]))
 
-let test_pool_rejects_bad_jobs () =
-  Alcotest.check_raises "jobs=0 rejected"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0 ()))
+(* Worker 0 is the calling domain; a raise on its share and a raise on
+   a spawned domain's share both come back to the caller. *)
+let test_raise_on_any_worker () =
+  let self = Domain.self () in
+  List.iter
+    (fun bad ->
+      let ran_on = Array.make 2 self in
+      Alcotest.check_raises
+        (Printf.sprintf "worker %d's raise re-raised" bad)
+        (Poisoned bad)
+        (fun () ->
+          Pool.run_workers ~jobs:2 (fun w ->
+              ran_on.(w) <- Domain.self ();
+              if w = bad then raise (Poisoned w)));
+      Alcotest.(check bool) "worker 0 ran on the caller" true (ran_on.(0) = self);
+      Alcotest.(check bool) "worker 1 ran elsewhere" true (ran_on.(1) <> self))
+    [ 0; 1 ]
+
+(* Every item holds its worker until two distinct domains have started
+   items (or a second has passed), so both the caller and the other
+   worker run some, however the claims race. *)
+let test_caller_runs_items () =
+  let self = Domain.self () in
+  let seen = Atomic.make [] in
+  let rec note d =
+    let ds = Atomic.get seen in
+    if not (List.mem d ds || Atomic.compare_and_set seen ds (d :: ds)) then note d
+  in
+  let domains =
+    Pool.run_map ~jobs:2
+      (fun _ ->
+        let d = Domain.self () in
+        note d;
+        let t0 = Unix.gettimeofday () in
+        while List.length (Atomic.get seen) < 2 && Unix.gettimeofday () -. t0 < 1. do
+          Domain.cpu_relax ()
+        done;
+        d)
+      (List.init 16 Fun.id)
+  in
+  Alcotest.(check bool) "some items ran on the calling domain" true
+    (List.mem self domains);
+  Alcotest.(check bool) "some items ran on another domain" true
+    (List.exists (fun d -> d <> self) domains)
 
 (* -- per-slot result capture (the keep-going primitive) -- *)
 
@@ -282,45 +337,14 @@ let qcheck_map_results_no_cancellation =
            results)
 
 let test_map_results_pool_reusable () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let r = Pool.map_results pool (fun i -> if i = 1 then raise Exit else i) [ 0; 1; 2 ] in
-      Alcotest.(check int) "three slots" 3 (List.length r);
-      Alcotest.(check bool) "slot 1 failed" true
-        (match List.nth r 1 with Error (Exit, _) -> true | _ -> false);
-      Alcotest.(check (list int)) "pool survives map_results" [ 2; 3; 4 ]
-        (Pool.map pool succ [ 1; 2; 3 ]))
-
-(* -- exception accounting on raw submit -- *)
-
-(* Regression: a raising fire-and-forget job used to kill its worker
-   domain silently. It must now be counted, forwarded to the sink, and
-   leave the worker serving later jobs. *)
-let test_submit_exception_counted_and_sunk () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.(check int) "starts at zero" 0 (Pool.dropped_exceptions pool);
-      let sunk = Atomic.make 0 in
-      Pool.set_exception_sink pool (fun e _bt ->
-          match e with Poisoned _ -> Atomic.incr sunk | _ -> ());
-      let done_ = Atomic.make 0 in
-      for i = 1 to 8 do
-        Pool.submit pool (fun () ->
-            if i mod 2 = 0 then raise (Poisoned i);
-            Atomic.incr done_)
-      done;
-      (* map is a barrier here: it drains the queue on the same workers. *)
-      ignore (Pool.map pool Fun.id [ (); () ]);
-      Alcotest.(check int) "four exceptions counted" 4 (Pool.dropped_exceptions pool);
-      Alcotest.(check int) "four exceptions sunk" 4 (Atomic.get sunk);
-      Alcotest.(check int) "surviving jobs all ran" 4 (Atomic.get done_))
-
-let test_raising_sink_is_discarded () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      Pool.set_exception_sink pool (fun _ _ -> failwith "sink bug");
-      Pool.submit pool (fun () -> raise Exit);
-      ignore (Pool.map pool Fun.id [ () ]);
-      Alcotest.(check int) "still counted" 1 (Pool.dropped_exceptions pool);
-      Alcotest.(check (list int)) "worker survived the sink" [ 1 ]
-        (Pool.map pool Fun.id [ 1 ]))
+  let r =
+    Pool.run_map_results ~jobs:2 (fun i -> if i = 1 then raise Exit else i) [ 0; 1; 2 ]
+  in
+  Alcotest.(check int) "three slots" 3 (List.length r);
+  Alcotest.(check bool) "slot 1 failed" true
+    (match List.nth r 1 with Error (Exit, _) -> true | _ -> false);
+  Alcotest.(check (list int)) "domains serve the next map" [ 2; 3; 4 ]
+    (Pool.run_map ~jobs:2 succ [ 1; 2; 3 ])
 
 (* -- the single-pass aggregate, pinned against a hand-computed fixture -- *)
 
@@ -428,23 +452,22 @@ let () =
             qcheck_pool_raising_job_cancels_and_reraises;
           ]
         @ [
-            Alcotest.test_case "shutdown idempotent and final" `Quick
-              test_pool_shutdown_idempotent_and_final;
+            Alcotest.test_case "nothing runs after return" `Quick
+              test_nothing_runs_after_return;
             Alcotest.test_case "jobs < 1 rejected" `Quick
               test_pool_rejects_bad_jobs;
             Alcotest.test_case "domains outlive their pool" `Quick test_pool_reuses_domains;
-            Alcotest.test_case "shutdown re-raises a worker's death" `Quick
-              test_pool_shutdown_reraises_worker_death;
+            Alcotest.test_case "a raising monitor is re-raised" `Quick
+              test_raising_monitor_reraised;
+            Alcotest.test_case "raises on any worker re-raised" `Quick
+              test_raise_on_any_worker;
+            Alcotest.test_case "caller domain runs items" `Quick test_caller_runs_items;
           ] );
       ( "results-capture",
         qcheck [ qcheck_map_results_no_cancellation ]
         @ [
             Alcotest.test_case "map_results isolates failures, pool reusable" `Quick
               test_map_results_pool_reusable;
-            Alcotest.test_case "submit exceptions counted and sunk" `Quick
-              test_submit_exception_counted_and_sunk;
-            Alcotest.test_case "raising sink discarded" `Quick
-              test_raising_sink_is_discarded;
           ] );
       ( "aggregate",
         [

@@ -295,6 +295,120 @@ let test_journal_resume_identity () =
       Alcotest.(check bool) "resumed report identical" true
         (report_fingerprint a = report_fingerprint b))
 
+(* -- the same exploration at every job count -- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let with_temp f =
+  let path = Filename.temp_file "ftc-verify" ".journal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let first_counterexample (r : Verify.report) =
+  match r.Verify.violations with
+  | v :: _ ->
+      Some (v.index, v.state, Ftc_chaos.Replay.to_string ~expect:v.oracles v.case)
+  | [] -> None
+
+let run_ok ?journal ?resume cfg =
+  match Verify.run ?journal ?resume cfg with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "verify: %s" e
+
+(* The journal's header and first [k] chunk records. *)
+let cut_journal bytes k =
+  let lines = String.split_on_char '\n' bytes in
+  String.concat "" (List.filteri (fun i _ -> i <= k) lines |> List.map (fun l -> l ^ "\n"))
+
+(* A violating space (its first violation is in chunk 0, so without
+   --keep-going workers 2 and 3 claim chunks that must be discarded)
+   and a clean one, both capped mid-chunk. *)
+let spaces =
+  [
+    ( "ft-leader-election",
+      { (Verify.default_config ~protocol:"ft-leader-election") with n = 4 } );
+    ("ft-agreement", { (Verify.default_config ~protocol:"ft-agreement") with n = 4 });
+  ]
+
+let test_jobs_reports_and_journals () =
+  List.iter
+    (fun (name, base) ->
+      List.iter
+        (fun keep_going ->
+          let cfg = { base with Verify.keep_going; max_states = Some 1300 } in
+          let run_at jobs =
+            with_temp (fun path ->
+                let r = run_ok ~journal:path { cfg with jobs } in
+                (r, read_file path))
+          in
+          let r1, j1 = run_at 1 in
+          List.iter
+            (fun jobs ->
+              let r, j = run_at jobs in
+              let label what =
+                Printf.sprintf "%s keep_going=%b jobs=%d: %s" name keep_going jobs what
+              in
+              Alcotest.(check bool) (label "report") true
+                (report_fingerprint r1 = report_fingerprint r);
+              Alcotest.(check (option (triple int string string)))
+                (label "first counterexample") (first_counterexample r1)
+                (first_counterexample r);
+              Alcotest.(check string) (label "journal bytes") j1 j)
+            [ 2; 3 ])
+        [ false; true ])
+    spaces
+
+(* A journal written at jobs 2 and cut after k records resumes at
+   jobs 1 to the uninterrupted report, and completes the same journal. *)
+let test_resume_across_jobs () =
+  let cfg =
+    {
+      (Verify.default_config ~protocol:"ft-leader-election") with
+      n = 4;
+      keep_going = true;
+      max_states = Some 1300;
+    }
+  in
+  with_temp (fun full ->
+      let a = run_ok ~journal:full { cfg with jobs = 2 } in
+      let bytes = read_file full in
+      List.iter
+        (fun k ->
+          with_temp (fun cut ->
+              write_file cut (cut_journal bytes k);
+              let b = run_ok ~journal:cut ~resume:true cfg in
+              Alcotest.(check int) (Printf.sprintf "k=%d: resumed states" k) (512 * k)
+                b.Verify.resumed_states;
+              Alcotest.(check bool) (Printf.sprintf "k=%d: report" k) true
+                (report_fingerprint a = report_fingerprint b);
+              Alcotest.(check string)
+                (Printf.sprintf "k=%d: journal" k)
+                bytes (read_file cut)))
+        [ 1; 2 ])
+
+(* Journals written before workers claimed whole chunks (a coordinating
+   domain fanned 64-state slices out over a queue) keep resuming: the
+   chunk size and the spec hash did not change. [resume_fixture] copies
+   the fixture, cuts it to its header and first [keep] records, resumes,
+   and compares with an uninterrupted run. *)
+let resume_fixture ~fixture ~keep cfg =
+  let bytes = read_file fixture in
+  with_temp (fun path ->
+      write_file path (cut_journal bytes keep);
+      let resumed = run_ok ~journal:path ~resume:true { cfg with Verify.jobs = 2 } in
+      Alcotest.(check bool) (fixture ^ ": resumed something") true
+        (resumed.Verify.resumed_states > 0);
+      Alcotest.(check bool) (fixture ^ ": report") true
+        (report_fingerprint (run_ok cfg) = report_fingerprint resumed);
+      Alcotest.(check string) (fixture ^ ": journal") bytes (read_file path))
+
+let test_resume_older_journals () =
+  resume_fixture ~fixture:"fixtures/verify-sliced-clean.jsonl" ~keep:1
+    { (Verify.default_config ~protocol:"ft-agreement") with n = 4; max_states = Some 1300 };
+  resume_fixture ~fixture:"fixtures/verify-sliced-violated.jsonl" ~keep:1
+    { (Verify.default_config ~protocol:"ft-leader-election") with n = 4 }
+
 let test_resume_spec_mismatch () =
   let cfg = { (Verify.default_config ~protocol:"crash-probe") with n = 3; horizon = 2 } in
   let path = Filename.temp_file "ftc-verify" ".journal" in
@@ -343,5 +457,9 @@ let () =
           Alcotest.test_case "jobs 1 vs 2" `Quick test_jobs_determinism;
           Alcotest.test_case "journal resume identity" `Quick test_journal_resume_identity;
           Alcotest.test_case "resume spec mismatch" `Quick test_resume_spec_mismatch;
+          Alcotest.test_case "jobs 1-3: reports and journals" `Quick
+            test_jobs_reports_and_journals;
+          Alcotest.test_case "resume across job counts" `Quick test_resume_across_jobs;
+          Alcotest.test_case "older journals resume" `Quick test_resume_older_journals;
         ] );
     ]
